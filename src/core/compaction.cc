@@ -1108,40 +1108,27 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
     return Status::OK();
   };
 
-  // Batched parallel fetch of live values through the thread pool.
+  // Live values are fetched a batch at a time through the shared value
+  // fetcher (sorted, coalesced, key-checked), then rewritten in key order.
   struct Entry {
     std::string internal_key;
-    std::string value;  // Encoded pointer (in) -> value bytes (out).
+    std::string value;  // Inline value, or the fetched value of a pointer.
     bool is_pointer = false;
     ValuePointer ptr;
     Status status;
   };
   std::vector<Entry> batch;
   const size_t kBatchSize = 256;
-  std::string rewritten;
 
   auto flush_batch = [&]() -> Status {
     if (batch.empty()) return Status::OK();
-    if (options_.enable_scan_optimization && batch.size() > 1) {
-      // Wait on this batch's own completion group, not the whole pool:
-      // the pool is shared with foreground scans, and a global WaitIdle
-      // would block GC behind an unrelated scan's fetches (and vice
-      // versa) for as long as the other caller keeps the pool busy.
-      ThreadPool::TaskGroup group;
-      for (Entry& e : batch) {
-        if (!e.is_pointer) continue;
-        fetch_pool_->Schedule(&group, [this, &e] {
-          std::string stored_key;
-          e.status = vlog_cache_->Get(e.ptr, &e.value, &stored_key);
-        });
-      }
-      group.Wait();
-    } else {
-      for (Entry& e : batch) {
-        if (!e.is_pointer) continue;
-        e.status = vlog_cache_->Get(e.ptr, &e.value);
-      }
+    std::vector<ValueFetch> fetches;
+    for (Entry& e : batch) {
+      if (!e.is_pointer) continue;
+      fetches.push_back(ValueFetch{e.ptr, ExtractUserKey(e.internal_key),
+                                   &e.value, &e.status});
     }
+    vlog_cache_->Fetch(&fetches, options_.multiget_coalesce_gap_bytes);
     for (Entry& e : batch) {
       if (!e.status.ok()) return e.status;
       Slice user_key = ExtractUserKey(e.internal_key);

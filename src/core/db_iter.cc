@@ -54,8 +54,14 @@ Slice DBIter::value() const {
     } else if (vlog_ == nullptr) {
       resolve_status_ = Status::Corruption("value pointer without value log");
     } else {
-      resolve_status_ = vlog_->Get(ptr, &resolved_value_);
+      std::string stored_key;
+      resolve_status_ = vlog_->Get(ptr, &resolved_value_, &stored_key);
+      if (resolve_status_.ok() && Slice(stored_key) != key()) {
+        resolve_status_ = Status::Corruption("value log key mismatch");
+      }
     }
+    // A failed fetch must not leave the previous entry's value showing.
+    if (!resolve_status_.ok()) resolved_value_.clear();
     value_resolved_ = true;
   }
   return Slice(resolved_value_);
@@ -67,16 +73,23 @@ Status DBIter::status() const {
   return iter_->status();
 }
 
-void DBIter::MaybeReadahead() const {
+void DBIter::MaybeReadahead() {
   if (!readahead_ || vlog_ == nullptr || !valid_) return;
   if (raw_type() != kTypeValuePointer) return;
   ValuePointer ptr;
   Slice encoded = raw_value();
-  if (ptr.DecodeFrom(&encoded)) {
-    // Hint a window past this value; sorted-order scans read values from
-    // the logs in (mostly) increasing offsets within a merge epoch.
-    vlog_->Readahead(ptr, 256 * 1024);
+  if (!ptr.DecodeFrom(&encoded)) return;
+  // Hint a window from this value, once per window: sorted-order scans
+  // read values from the logs in (mostly) increasing offsets within a
+  // merge epoch, so most values start inside the window already hinted.
+  if (ptr.log_number == ra_log_ && ptr.offset >= ra_begin_ &&
+      ptr.offset < ra_end_) {
+    return;
   }
+  vlog_->Readahead(ptr, kReadaheadWindow);
+  ra_log_ = ptr.log_number;
+  ra_begin_ = ptr.offset;
+  ra_end_ = ptr.offset + kReadaheadWindow;
 }
 
 void DBIter::Next() {

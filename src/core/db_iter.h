@@ -15,8 +15,9 @@ class ValueLogCache;
 class DBIter : public Iterator {
  public:
   /// Takes ownership of `internal`. `vlog` may be null when KV separation
-  /// is disabled. If `readahead`, issues OS readahead hints for pointer
-  /// values as the iterator advances (paper scan optimization).
+  /// is disabled. If `readahead`, issues an OS readahead hint whenever a
+  /// pointer value starts outside the 256 KiB window last hinted (paper
+  /// scan optimization).
   DBIter(const InternalKeyComparator& icmp, Iterator* internal,
          SequenceNumber sequence, ValueLogCache* vlog, bool readahead);
   ~DBIter() override;
@@ -30,7 +31,8 @@ class DBIter : public Iterator {
 
   Slice key() const override;
   /// The user value; pointer entries are fetched from the value log on
-  /// first access and memoized for the current position.
+  /// first access, checked against key(), and memoized for the current
+  /// position. A failed fetch reads as empty and sets status().
   Slice value() const override;
   Status status() const override;
 
@@ -60,13 +62,19 @@ class DBIter : public Iterator {
     }
   }
 
-  void MaybeReadahead() const;
+  void MaybeReadahead();
 
   const InternalKeyComparator icmp_;
   Iterator* const iter_;
   const SequenceNumber sequence_;
   ValueLogCache* const vlog_;
   const bool readahead_;
+
+  // The last readahead window hinted: [ra_begin_, ra_end_) of log ra_log_.
+  static constexpr uint64_t kReadaheadWindow = 256 * 1024;
+  uint64_t ra_log_ = 0;
+  uint64_t ra_begin_ = 0;
+  uint64_t ra_end_ = 0;
 
   Status status_;
   std::string saved_key_;    // == current key when direction_ == kReverse

@@ -89,19 +89,21 @@ struct Options {
   /// Average KV size estimate used to size each partition's hash index.
   size_t index_expected_entry_size = 1024;
 
-  /// Thread-pool size for parallel value fetches during scans and GC
-  /// (the paper uses 32; scale to the machine).
+  /// Size of the reader pool that serves ReadOptions::multiget_parallelism
+  /// only. Scans and GC fetch values on their own thread (the paper's
+  /// 32-thread scan pool lost to that here; DESIGN.md §1).
   int value_fetch_threads = 8;
 
-  /// MultiGet value-log coalescing: two value pointers into the same log
-  /// whose byte ranges are within this many bytes of each other are
-  /// fetched as one span. 0 coalesces only truly adjacent/overlapping
-  /// records. Spans are served zero-copy from the log's memory mapping
-  /// when the Env supports it (gap bytes then cost nothing — they are
-  /// never touched); on the pread fallback the gap bytes are read and
-  /// discarded, so the default is one page: bridging more than a few
-  /// records' worth to save one syscall is a net loss there — raise it
-  /// (e.g. to 64KB) only for cold data on seek-bound media.
+  /// Value-log coalescing for MultiGet, Scan and GC: two value pointers
+  /// into the same log whose byte ranges are within this many bytes of
+  /// each other are fetched as one span. 0 coalesces only truly
+  /// adjacent/overlapping records. Spans are served zero-copy from the
+  /// log's memory mapping when the Env supports it (gap bytes then cost
+  /// nothing — they are never touched); on the pread fallback the gap
+  /// bytes are read and discarded, so the default is one page: bridging
+  /// more than a few records' worth to save one syscall is a net loss
+  /// there — raise it (e.g. to 64KB) only for cold data on seek-bound
+  /// media.
   size_t multiget_coalesce_gap_bytes = 4096;
 
   /// Background maintenance workers. Each worker picks one job at a time
@@ -157,7 +159,9 @@ struct Options {
   bool enable_kv_separation = true;
   /// Off: never split; a single partition grows without bound.
   bool enable_partitioning = true;
-  /// Off: no size-based merge, no readahead, no parallel value fetch.
+  /// Off: no size-based merge, no scan readahead hints, and Scan walks a
+  /// plain iterator (one point read per separated value) instead of
+  /// batching its value fetches.
   bool enable_scan_optimization = true;
   /// Off: scans always k-way-merge the overlapping unsorted tables. On:
   /// each partition with >= 2 unsorted tables maintains a sorted anchor

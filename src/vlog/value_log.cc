@@ -1,5 +1,7 @@
 #include "vlog/value_log.h"
 
+#include <algorithm>
+
 #include "core/filename.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
@@ -68,20 +70,20 @@ Status DecodeValueRecord(const Slice& record, Slice* key, Slice* value) {
 ValueLogCache::ValueLogCache(Env* env, std::string dbname)
     : env_(env), dbname_(std::move(dbname)) {}
 
-Status ValueLogCache::GetFile(const ValuePointer& ptr,
-                              std::shared_ptr<RandomAccessFile>* file) {
+Status ValueLogCache::PinLog(uint64_t log_number,
+                             std::shared_ptr<RandomAccessFile>* file) {
   MutexLock l(&mu_);
-  auto it = files_.find(ptr.log_number);
+  auto it = files_.find(log_number);
   if (it != files_.end()) {
     *file = it->second;
     return Status::OK();
   }
   std::unique_ptr<RandomAccessFile> f;
   Status s =
-      env_->NewRandomAccessFile(ValueLogFileName(dbname_, ptr.log_number), &f);
+      env_->NewRandomAccessFile(ValueLogFileName(dbname_, log_number), &f);
   if (!s.ok()) return s;
   std::shared_ptr<RandomAccessFile> shared(f.release());
-  files_[ptr.log_number] = shared;
+  files_[log_number] = shared;
   *file = std::move(shared);
   return Status::OK();
 }
@@ -94,7 +96,7 @@ Status ValueLogCache::Get(const ValuePointer& ptr, std::string* value,
   if (reads_counter_ != nullptr) reads_counter_->Inc();
   if (read_bytes_counter_ != nullptr) read_bytes_counter_->Add(ptr.size);
   std::shared_ptr<RandomAccessFile> file;
-  Status s = GetFile(ptr, &file);
+  Status s = PinLog(ptr.log_number, &file);
   if (!s.ok()) return s;
 
   std::string buf;
@@ -115,61 +117,95 @@ Status ValueLogCache::Get(const ValuePointer& ptr, std::string* value,
   return Status::OK();
 }
 
-Status ValueLogCache::GetSpan(uint64_t log_number, uint64_t offset,
-                              size_t size, std::string* buffer) {
-  std::shared_ptr<RandomAccessFile> file;
-  Status s = PinLog(log_number, &file);
-  if (!s.ok()) return s;
-  return GetSpanPinned(file.get(), offset, size, buffer);
-}
+void ValueLogCache::Fetch(std::vector<ValueFetch>* batch, uint64_t gap_bytes,
+                          FetchStats* stats) {
+  constexpr uint64_t kMaxSpan = 1 << 20;
+  std::vector<ValueFetch>& b = *batch;
+  std::sort(b.begin(), b.end(), [](const ValueFetch& x, const ValueFetch& y) {
+    if (x.ptr.log_number != y.ptr.log_number) {
+      return x.ptr.log_number < y.ptr.log_number;
+    }
+    return x.ptr.offset < y.ptr.offset;
+  });
 
-Status ValueLogCache::PinLog(uint64_t log_number,
-                             std::shared_ptr<RandomAccessFile>* file) {
-  ValuePointer ptr;
-  ptr.log_number = log_number;
-  return GetFile(ptr, file);
-}
-
-Status ValueLogCache::GetSpanPinned(RandomAccessFile* file, uint64_t offset,
-                                    size_t size, std::string* buffer) {
-  buffer->resize(size);
-  Slice result;
-  Status s = GetSpanPinned(file, offset, size, &result, buffer->data());
-  if (!s.ok()) return s;
-  if (result.data() != buffer->data()) {
-    buffer->assign(result.data(), result.size());
-  }
-  return Status::OK();
-}
-
-Status ValueLogCache::GetSpanPinned(RandomAccessFile* file, uint64_t offset,
-                                    size_t size, Slice* result,
-                                    char* scratch) {
   PerfContext* perf = GetPerfContext();
-  perf->vlog_span_reads++;
-  perf->vlog_read_bytes += size;
-  if (span_reads_counter_ != nullptr) span_reads_counter_->Inc();
-  if (read_bytes_counter_ != nullptr) read_bytes_counter_->Add(size);
-  // Batched span fetches prefer the file's mapping when one is available:
-  // no syscall, and the gap bytes a coalesced span covers are never
-  // copied — members are sliced straight out of the page cache. The
-  // pointed-at bytes stay valid while the caller's log pin is held.
-  if (file->ReadZeroCopy(offset, size, result)) {
-    perf->vlog_mmap_reads++;
-    if (mmap_reads_counter_ != nullptr) mmap_reads_counter_->Inc();
-    return Status::OK();
+  std::shared_ptr<RandomAccessFile> file;
+  uint64_t file_log = 0;
+  // Pread fallback only, grown on demand and reused across spans: the
+  // mapped path never touches it, so a mapped batch allocates nothing the
+  // size of a span.
+  std::unique_ptr<char[]> scratch;
+  size_t scratch_cap = 0;
+  for (size_t i = 0; i < b.size();) {
+    const uint64_t log = b[i].ptr.log_number;
+    const uint64_t begin = b[i].ptr.offset;
+    uint64_t end = begin + b[i].ptr.size;
+    size_t j = i + 1;
+    for (; j < b.size(); j++) {
+      const ValuePointer& p = b[j].ptr;
+      const uint64_t pend = std::max(end, p.offset + p.size);
+      if (p.log_number != log || p.offset > end + gap_bytes ||
+          pend - begin > kMaxSpan) {
+        break;
+      }
+      end = pend;
+    }
+
+    Status s;
+    if (file == nullptr || file_log != log) {
+      file = nullptr;
+      s = PinLog(log, &file);
+      file_log = log;
+    }
+    // Members are sliced straight out of the span; on the mapped path the
+    // bytes stay valid while `file` is pinned, and gap bytes are never
+    // touched.
+    Slice span;
+    if (s.ok()) {
+      const size_t len = static_cast<size_t>(end - begin);
+      perf->vlog_span_reads++;
+      perf->vlog_read_bytes += len;
+      if (span_reads_counter_ != nullptr) span_reads_counter_->Inc();
+      if (read_bytes_counter_ != nullptr) read_bytes_counter_->Add(len);
+      if (file->ReadZeroCopy(begin, len, &span)) {
+        perf->vlog_mmap_reads++;
+        if (mmap_reads_counter_ != nullptr) mmap_reads_counter_->Inc();
+      } else {
+        if (len > scratch_cap) {
+          scratch_cap = std::max(len, scratch_cap * 2);
+          scratch.reset(new char[scratch_cap]);
+        }
+        s = file->Read(begin, len, &span, scratch.get());
+        if (s.ok() && span.size() != len) {
+          s = Status::Corruption("short value log span read");
+        }
+      }
+    }
+
+    for (size_t k = i; k < j; k++) {
+      Status rs = s;
+      if (rs.ok()) {
+        Slice record(span.data() + (b[k].ptr.offset - begin), b[k].ptr.size);
+        Slice key, value;
+        rs = DecodeValueRecord(record, &key, &value);
+        if (rs.ok() && key != b[k].key) {
+          rs = Status::Corruption("value log key mismatch");
+        }
+        if (rs.ok()) b[k].value->assign(value.data(), value.size());
+      }
+      *b[k].status = rs;
+    }
+    if (stats != nullptr && j - i > 1) {
+      stats->coalesced_spans++;
+      for (size_t k = i + 1; k < j; k++) stats->bytes_saved += b[k].ptr.size;
+    }
+    i = j;
   }
-  Status s = file->Read(offset, size, result, scratch);
-  if (!s.ok()) return s;
-  if (result->size() != size) {
-    return Status::Corruption("short value log span read");
-  }
-  return Status::OK();
 }
 
 void ValueLogCache::Readahead(const ValuePointer& ptr, size_t bytes) {
   std::shared_ptr<RandomAccessFile> file;
-  if (GetFile(ptr, &file).ok()) {
+  if (PinLog(ptr.log_number, &file).ok()) {
     file->ReadaheadHint(ptr.offset, bytes);
   }
 }

@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "util/env.h"
 #include "util/metrics.h"
@@ -68,8 +69,18 @@ class ValueLogWriter {
 /// at a ValuePointer). Verifies the checksum.
 Status DecodeValueRecord(const Slice& record, Slice* key, Slice* value);
 
-/// Caches open read handles for value log files and serves point fetches
-/// by ValuePointer. Thread-safe.
+/// One request to ValueLogCache::Fetch: resolve `ptr`, check that the
+/// record was stored under `key`, and write the value and outcome into the
+/// caller's slots.
+struct ValueFetch {
+  ValuePointer ptr;
+  Slice key;
+  std::string* value;
+  Status* status;
+};
+
+/// Caches open read handles for value log files and serves point and
+/// batched fetches by ValuePointer. Thread-safe.
 class ValueLogCache {
  public:
   /// `dir_for_partition(p)` maps a partition id to its directory.
@@ -77,8 +88,8 @@ class ValueLogCache {
 
   /// Wires engine-wide read counters (owned by the DB's MetricsRegistry).
   /// Unlike the thread-local PerfContext — which only sees the calling
-  /// thread — these capture fetches issued from thread-pool workers during
-  /// scans and GC. All three may be null (counting disabled).
+  /// thread — these also capture the fetches of background GC. All may be
+  /// null (counting disabled).
   void SetCounters(Counter* reads, Counter* span_reads, Counter* read_bytes,
                    Counter* mmap_reads = nullptr) {
     reads_counter_ = reads;
@@ -95,38 +106,30 @@ class ValueLogCache {
   /// Issues a readahead hint on the log for a scan starting at `ptr`.
   void Readahead(const ValuePointer& ptr, size_t bytes);
 
-  /// Reads the byte span [offset, offset+size) of a log file in one I/O.
-  /// Scans use this to fetch runs of adjacent values (merges and GC write
-  /// values in key order, so consecutive scan pointers usually touch a
-  /// contiguous region). *buffer is resized to hold the span.
-  Status GetSpan(uint64_t log_number, uint64_t offset, size_t size,
-                 std::string* buffer);
+  /// Coalescing counts of one Fetch call.
+  struct FetchStats {
+    uint64_t coalesced_spans = 0;  // Spans that served >= 2 fetches.
+    uint64_t bytes_saved = 0;      // Record bytes of those extra members.
+  };
 
-  /// Pins the shared read handle of one log (opening the file if needed)
-  /// so a batched caller can issue several span reads against it without
-  /// re-taking the cache mutex per read. The handle stays valid even if
-  /// the log is Evicted while pinned.
-  Status PinLog(uint64_t log_number,
-                std::shared_ptr<RandomAccessFile>* file);
-
-  /// GetSpan against a handle previously pinned with PinLog (same
-  /// counting and short-read checks, no cache-mutex acquisition).
-  Status GetSpanPinned(RandomAccessFile* file, uint64_t offset, size_t size,
-                       std::string* buffer);
-
-  /// Zero-copy-friendly variant: reads into caller-owned `scratch` (which
-  /// must hold `size` bytes) and points *result at the bytes — either
-  /// scratch or the file's own mapping. Avoids std::string's zero-fill on
-  /// hot batched-read paths that reuse one scratch buffer across spans.
-  Status GetSpanPinned(RandomAccessFile* file, uint64_t offset, size_t size,
-                       Slice* result, char* scratch);
+  /// Resolves a batch of value pointers on the calling thread. Sorts the
+  /// batch by (log, offset) — reordering *batch — and merges pointers
+  /// whose records lie within `gap_bytes` of each other into spans of at
+  /// most 1 MiB (duplicate and overlapping pointers are fine). Each log is
+  /// pinned once and each span read once: straight from the log's mapping
+  /// when the Env has one, else by one pread into a buffer reused across
+  /// spans. Every record's checksum and stored key are verified, and each
+  /// fetch gets its own status, so a bad record fails only its own slot.
+  void Fetch(std::vector<ValueFetch>* batch, uint64_t gap_bytes,
+             FetchStats* stats = nullptr);
 
   /// Drops the cached handle for a deleted log file.
   void Evict(uint32_t partition, uint64_t log_number);
 
  private:
-  Status GetFile(const ValuePointer& ptr,
-                 std::shared_ptr<RandomAccessFile>* file);
+  /// Returns the shared read handle of one log, opening the file on first
+  /// use. The handle stays valid even if the log is Evicted meanwhile.
+  Status PinLog(uint64_t log_number, std::shared_ptr<RandomAccessFile>* file);
 
   Env* env_;
   std::string dbname_;
@@ -134,7 +137,7 @@ class ValueLogCache {
   Counter* span_reads_counter_ = nullptr;
   Counter* mmap_reads_counter_ = nullptr;
   Counter* read_bytes_counter_ = nullptr;
-  // mu_ guards the handle map. Held across the open syscall in GetFile
+  // mu_ guards the handle map. Held across the open syscall in PinLog
   // (first access to a log serializes openers); reads through a handle
   // never take it.
   Mutex mu_;

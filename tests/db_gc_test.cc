@@ -122,6 +122,45 @@ TEST_F(DbGcTest, DeletedValuesAreCollected) {
   }
 }
 
+// GC must check each live record's key like every read path: a pointer
+// to another key's record fails the job with Corruption, and nothing is
+// installed — the old log stays, and no key is rewritten under the wrong
+// value.
+TEST_F(DbGcTest, GcOverPointerToWrongKeyFailsAndInstallsNothing) {
+  Open(GcOptions(), "gc_wrong_key");
+  for (int i = 0; i < 300; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i),
+                         test::TestValue(i, 1024))
+                    .ok());
+  }
+  ASSERT_TRUE(db_->CompactAll().ok());
+  const std::vector<std::string> logs_before = test::ValueLogPaths(dir_);
+  ASSERT_TRUE(test::RelabelValueLogRecord(dir_, test::TestKey(150),
+                                          test::TestKey(151)));
+
+  // Overwrite a third of the keys (not the relabelled one): enough
+  // garbage to trigger GC of the partition.
+  for (int i = 0; i < 100; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i),
+                         test::TestValue(i + 1000, 1024))
+                    .ok());
+  }
+  Status s = db_->CompactAll();
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+
+  std::string stats;
+  ASSERT_TRUE(db_->GetProperty("db.stats", &stats));
+  EXPECT_NE(stats.find("gcs=0 "), std::string::npos) << stats;
+  for (const std::string& log : logs_before) {
+    EXPECT_TRUE(Env::Default()->FileExists(log)) << log;
+  }
+  std::string value;
+  EXPECT_TRUE(db_->Get(ReadOptions(), test::TestKey(150), &value)
+                  .IsCorruption());
+  ASSERT_TRUE(db_->Get(ReadOptions(), test::TestKey(200), &value).ok());
+  EXPECT_EQ(test::TestValue(200, 1024), value);
+}
+
 TEST_F(DbGcTest, SharedLogsAfterSplitAreLazilySegregated) {
   Options opt = GcOptions();
   opt.partition_size_limit = 512 * 1024;  // Force splits.

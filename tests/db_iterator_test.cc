@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <memory>
 
@@ -66,6 +67,7 @@ class DbIteratorTest : public testing::Test {
   }
 
   std::string dir_;
+  std::unique_ptr<Env> env_;  // Outlives db_, which may use it.
   std::unique_ptr<DB> db_;
 };
 
@@ -242,6 +244,151 @@ TEST_F(DbIteratorTest, ScanWithOptimizationsOffMatches) {
     EXPECT_EQ(mit->first, result[i].first);
     EXPECT_EQ(mit->second, result[i].second);
   }
+}
+
+// Counts readahead hints on value-log files; everything else passes
+// through to the POSIX Env (so spans still come from the mappings).
+class HintCountingEnv : public InstrumentedEnv {
+ public:
+  HintCountingEnv() : InstrumentedEnv(Env::Default()) {}
+
+  Status NewRandomAccessFile(
+      const std::string& fname,
+      std::unique_ptr<RandomAccessFile>* result) override {
+    Status s = InstrumentedEnv::NewRandomAccessFile(fname, result);
+    if (s.ok() && fname.size() > 5 &&
+        fname.substr(fname.size() - 5) == ".vlog") {
+      *result = std::make_unique<File>(std::move(*result), &hints);
+    }
+    return s;
+  }
+
+  std::atomic<uint64_t> hints{0};
+
+ private:
+  class File : public RandomAccessFile {
+   public:
+    File(std::unique_ptr<RandomAccessFile> base, std::atomic<uint64_t>* hints)
+        : base_(std::move(base)), hints_(hints) {}
+    Status Read(uint64_t offset, size_t n, Slice* result,
+                char* scratch) const override {
+      return base_->Read(offset, n, result, scratch);
+    }
+    bool ReadZeroCopy(uint64_t offset, size_t n,
+                      Slice* result) const override {
+      return base_->ReadZeroCopy(offset, n, result);
+    }
+    void ReadaheadHint(uint64_t offset, size_t n) const override {
+      hints_->fetch_add(1);
+      base_->ReadaheadHint(offset, n);
+    }
+
+   private:
+    std::unique_ptr<RandomAccessFile> base_;
+    std::atomic<uint64_t>* hints_;
+  };
+};
+
+// Loads `n` separated values (ascending keys) and merges them into the
+// SortedStore, filling `model`.
+void LoadSeparated(DB* db, int n, size_t value_size,
+                   std::map<std::string, std::string>* model) {
+  for (int i = 0; i < n; i++) {
+    const std::string key = test::TestKey(i);
+    const std::string value = test::TestValue(i, value_size);
+    ASSERT_TRUE(db->Put(WriteOptions(), key, value).ok());
+    (*model)[key] = value;
+  }
+  ASSERT_TRUE(db->CompactAll().ok());
+}
+
+TEST_F(DbIteratorTest, ReadaheadHintsOncePerScanAndPerWindow) {
+  auto* env = new HintCountingEnv;
+  env_.reset(env);
+  Options opt = SmallOptions();
+  opt.env = env;
+  // One partition: each merge's log then holds an ascending key range, so
+  // the walk reads every log front to back.
+  opt.partition_size_limit = 64 << 20;
+  Open(opt, "iter_readahead");
+  std::map<std::string, std::string> model;
+  LoadSeparated(db_.get(), 2000, 1000, &model);
+  ASSERT_GT(test::ValueLogPaths(dir_).size(), 0u);
+
+  // A Scan hints once, at its first separated value.
+  env->hints = 0;
+  std::vector<std::pair<std::string, std::string>> result;
+  ASSERT_TRUE(db_->Scan(ReadOptions(), test::TestKey(500), 100, &result).ok());
+  ASSERT_EQ(100u, result.size());
+  EXPECT_EQ(model[test::TestKey(500)], result[0].second);
+  EXPECT_LE(env->hints.load(), 1u);
+
+  // An iterator walk hints once per 256 KiB window of each log it reads.
+  uint64_t log_bytes = 0;
+  const std::vector<std::string> logs = test::ValueLogPaths(dir_);
+  for (const std::string& path : logs) {
+    uint64_t size = 0;
+    ASSERT_TRUE(Env::Default()->GetFileSize(path, &size).ok());
+    log_bytes += size;
+  }
+  env->hints = 0;
+  std::unique_ptr<Iterator> iter(db_->NewIterator(ReadOptions()));
+  size_t walked = 0;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next(), walked++) {
+    ASSERT_EQ(model[iter->key().ToString()], iter->value().ToString());
+  }
+  ASSERT_TRUE(iter->status().ok()) << iter->status().ToString();
+  EXPECT_EQ(model.size(), walked);
+  EXPECT_GE(env->hints.load(), 1u);
+  EXPECT_LE(env->hints.load(),
+            static_cast<double>(log_bytes) / (256 * 1024) + logs.size());
+}
+
+// A flipped byte in a value log must surface as Corruption from Scan and
+// from an iterator walk — never as wrong bytes.
+TEST_F(DbIteratorTest, CorruptVlogRecordSurfacesAsCorruption) {
+  Open(SmallOptions(), "iter_corrupt");
+  std::map<std::string, std::string> model;
+  LoadSeparated(db_.get(), 400, 256, &model);
+  ASSERT_GT(test::FlipValueLogBytes(dir_, 1500), 0);
+
+  std::vector<std::pair<std::string, std::string>> result;
+  Status s = db_->Scan(ReadOptions(), test::TestKey(0), 400, &result);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_TRUE(result.empty());
+
+  std::unique_ptr<Iterator> iter(db_->NewIterator(ReadOptions()));
+  size_t good = 0;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+    const std::string value = iter->value().ToString();
+    if (!iter->status().ok()) break;
+    ASSERT_EQ(model[iter->key().ToString()], value);
+    good++;
+  }
+  EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
+  EXPECT_LT(good, model.size());
+}
+
+// A SortedStore pointer to another key's (intact) record must surface as
+// Corruption from Scan and from an iterator walk.
+TEST_F(DbIteratorTest, PointerToAnotherKeysRecordIsCorruption) {
+  Open(SmallOptions(), "iter_wrong_key");
+  std::map<std::string, std::string> model;
+  LoadSeparated(db_.get(), 200, 256, &model);
+  ASSERT_TRUE(test::RelabelValueLogRecord(dir_, test::TestKey(120),
+                                          test::TestKey(121)));
+
+  std::vector<std::pair<std::string, std::string>> result;
+  ASSERT_TRUE(db_->Scan(ReadOptions(), test::TestKey(0), 100, &result).ok());
+  Status s = db_->Scan(ReadOptions(), test::TestKey(100), 50, &result);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+
+  std::unique_ptr<Iterator> iter(db_->NewIterator(ReadOptions()));
+  iter->Seek(test::TestKey(120));
+  ASSERT_TRUE(iter->Valid());
+  EXPECT_EQ(test::TestKey(120), iter->key().ToString());
+  EXPECT_TRUE(iter->value().empty());
+  EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
 }
 
 }  // namespace

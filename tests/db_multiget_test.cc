@@ -253,25 +253,7 @@ TEST_F(DbMultiGetTest, CorruptVlogRecordSurfacesPerKeyStatus) {
 
   // Flip one byte every ~1500 bytes of every value log: a fraction of the
   // records fail their checksum, the rest stay intact.
-  std::vector<std::string> files;
-  ASSERT_TRUE(Env::Default()->GetChildren(dir_, &files).ok());
-  int corrupted_logs = 0;
-  for (const std::string& f : files) {
-    if (f.size() < 5 || f.substr(f.size() - 5) != ".vlog") continue;
-    const std::string path = dir_ + "/" + f;
-    std::FILE* fp = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(fp, nullptr);
-    std::fseek(fp, 0, SEEK_END);
-    const long size = std::ftell(fp);
-    for (long off = 700; off < size; off += 1500) {
-      std::fseek(fp, off, SEEK_SET);
-      int c = std::fgetc(fp);
-      std::fseek(fp, off, SEEK_SET);
-      std::fputc(c ^ 0x5a, fp);
-    }
-    std::fclose(fp);
-    corrupted_logs++;
-  }
+  const int corrupted_logs = test::FlipValueLogBytes(dir_, 1500);
   ASSERT_GT(corrupted_logs, 0) << "expected separated values in .vlog files";
 
   std::vector<std::string> key_bufs;

@@ -6,9 +6,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
+#include "util/coding.h"
+#include "util/crc32c.h"
 #include "util/env.h"
 #include "util/random.h"
+#include "vlog/value_log.h"
 
 namespace unikv {
 namespace test {
@@ -52,6 +56,76 @@ inline std::string TestValue(uint64_t i, size_t len = 64) {
     v.push_back(static_cast<char>('a' + rnd.Uniform(26)));
   }
   return v;
+}
+
+/// Paths of every value log in `dir`.
+inline std::vector<std::string> ValueLogPaths(const std::string& dir) {
+  std::vector<std::string> children, paths;
+  (void)Env::Default()->GetChildren(dir, &children);
+  for (const std::string& f : children) {
+    if (f.size() > 5 && f.substr(f.size() - 5) == ".vlog") {
+      paths.push_back(dir + "/" + f);
+    }
+  }
+  return paths;
+}
+
+/// Flips one byte every `stride` bytes (from byte 700) of every value log
+/// in `dir`, so a fraction of the records fail their checksum. Returns the
+/// number of logs touched.
+inline int FlipValueLogBytes(const std::string& dir, long stride) {
+  int touched = 0;
+  for (const std::string& path : ValueLogPaths(dir)) {
+    std::FILE* fp = std::fopen(path.c_str(), "r+b");
+    if (fp == nullptr) continue;
+    std::fseek(fp, 0, SEEK_END);
+    const long size = std::ftell(fp);
+    for (long off = 700; off < size; off += stride) {
+      std::fseek(fp, off, SEEK_SET);
+      const int c = std::fgetc(fp);
+      std::fseek(fp, off, SEEK_SET);
+      std::fputc(c ^ 0x5a, fp);
+    }
+    std::fclose(fp);
+    touched++;
+  }
+  return touched;
+}
+
+/// Rewrites the value-log record stored under `from` so that it claims
+/// key `to` (same length) with a valid checksum: the pointer to it is then
+/// a pointer to another key's record. Returns false if no record matched.
+inline bool RelabelValueLogRecord(const std::string& dir,
+                                  const std::string& from,
+                                  const std::string& to) {
+  if (from.size() != to.size()) return false;
+  for (const std::string& path : ValueLogPaths(dir)) {
+    uint64_t offset = 0, size = 0, key_at = 0;
+    bool found = false;
+    (void)ScanValueLog(Env::Default(), path,
+                       [&](uint64_t off, uint32_t rsize, const Slice& key,
+                           const Slice& value) {
+                         if (found || key != Slice(from)) return;
+                         found = true;
+                         offset = off;
+                         size = rsize;
+                         key_at = rsize - key.size() - value.size();
+                       });
+    if (!found) continue;
+    std::FILE* fp = std::fopen(path.c_str(), "r+b");
+    if (fp == nullptr) return false;
+    std::string record(size, '\0');
+    std::fseek(fp, static_cast<long>(offset), SEEK_SET);
+    const bool read_ok = std::fread(record.data(), 1, size, fp) == size;
+    record.replace(key_at, to.size(), to);
+    EncodeFixed32(record.data(),
+                  crc32c::Mask(crc32c::Value(record.data() + 4, size - 4)));
+    std::fseek(fp, static_cast<long>(offset), SEEK_SET);
+    const bool write_ok = std::fwrite(record.data(), 1, size, fp) == size;
+    std::fclose(fp);
+    return read_ok && write_ok;
+  }
+  return false;
 }
 
 /// Minimal recursive-descent JSON validity checker used by the metrics /
