@@ -33,14 +33,36 @@ bool UniKVDB::HasWorkPending() {
         static_cast<int>(p->unsorted.size()) >= options_.scan_merge_limit) {
       return true;
     }
-    auto git = vlog_garbage_.find(p->id);
-    const uint64_t garbage = git == vlog_garbage_.end() ? 0 : git->second;
-    if (garbage >= options_.gc_garbage_threshold && !p->vlogs.empty()) {
-      return true;
-    }
-    if (compact_all_ && garbage > 0 && !p->vlogs.empty()) return true;
+    if (SelectGcLogs(*p, nullptr, nullptr)) return true;
   }
   return false;
+}
+
+namespace {
+// GC collects a value log once at least this share of it is dead, counted
+// over every partition that references the log. A log never selected
+// therefore holds fewer dead than live bytes (space <= 2x live between
+// CompactAlls), and GC copies at most one live byte per dead byte it
+// reclaims.
+constexpr double kGcMinDeadShare = 0.5;
+}  // namespace
+
+bool UniKVDB::SelectGcLogs(const PartitionState& p,
+                           std::vector<uint64_t>* logs, uint64_t* garbage) {
+  uint64_t dead = 0;
+  for (const VlogMeta& v : p.vlogs) {
+    auto it = vlog_garbage_.find(v.number);
+    if (it == vlog_garbage_.end() || it->second == 0) continue;
+    if (compact_all_ == 0 &&
+        static_cast<double>(it->second) < kGcMinDeadShare * v.size) {
+      continue;
+    }
+    dead += it->second;
+    if (logs != nullptr) logs->push_back(v.number);
+  }
+  if (garbage != nullptr) *garbage = dead;
+  return dead > 0 &&
+         (compact_all_ > 0 || dead >= options_.gc_garbage_threshold);
 }
 
 UniKVDB::WorkItem UniKVDB::PickWork() {
@@ -106,18 +128,17 @@ UniKVDB::WorkItem UniKVDB::PickWork() {
     }
   }
 
-  // 4. GC: greedy — the partition with the most reclaimable garbage.
-  best = 0;
+  // 4. GC: greedy — the partition with the most garbage in its
+  //    selectable logs.
   for (const auto& p : ver->partitions) {
     if (busy_partitions_.count(p->id)) continue;
-    auto git = vlog_garbage_.find(p->id);
-    const uint64_t garbage = git == vlog_garbage_.end() ? 0 : git->second;
-    const bool want = garbage >= options_.gc_garbage_threshold ||
-                      (compact_all_ && garbage > 0 && !p->vlogs.empty());
-    if (want && garbage >= best && !p->vlogs.empty()) {
-      best = garbage;
+    std::vector<uint64_t> logs;
+    uint64_t garbage = 0;
+    if (SelectGcLogs(*p, &logs, &garbage) && garbage > item.gc_garbage) {
       item.kind = WorkKind::kGc;
       item.partition = p;
+      item.gc_logs = std::move(logs);
+      item.gc_garbage = garbage;
     }
   }
   return item;
@@ -186,7 +207,7 @@ Status UniKVDB::DispatchWork(const WorkItem& item) {
     case WorkKind::kScanMerge:
       return ScanMergePartition(item.partition);
     case WorkKind::kGc:
-      return GcPartition(item.partition);
+      return GcPartition(item);
     case WorkKind::kSplit:
       return SplitPartition(item.partition);
     case WorkKind::kNone:
@@ -597,6 +618,153 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
   return s;
 }
 
+// ------------------------------------------------------------ job outputs
+
+// The SortedStore tables and the value log that one merge or GC job
+// writes. Every file number is registered in pending_outputs_ (under mu_)
+// before its file is created, and released when the writer is destroyed:
+// after the install made the files live, or on an error path, which then
+// needs no cleanup of its own (RemoveObsoleteFiles sweeps the partial
+// files). Tables rotate on physical size or on governed logical size, so a
+// partition large in *values* still yields several tables (split points).
+// The value log is created on the first AddValue.
+class UniKVDB::JobOutputs {
+ public:
+  JobOutputs(UniKVDB* db, uint32_t pid)
+      : db_(db),
+        pid_(pid),
+        table_options_(SortedTableOptions(db->options_)),
+        rotation_logical_(std::max<uint64_t>(
+            db->options_.sorted_table_size,
+            db->options_.partition_size_limit / 8)) {}
+
+  JobOutputs(const JobOutputs&) = delete;
+  JobOutputs& operator=(const JobOutputs&) = delete;
+
+  ~JobOutputs() {
+    if (builder_ != nullptr) builder_->Abandon();
+    MutexLock lock(&db_->mu_);
+    for (uint64_t number : numbers_) db_->pending_outputs_.erase(number);
+  }
+
+  // Appends a value record to the job's log and fills *ptr.
+  Status AddValue(const Slice& user_key, const Slice& value,
+                  ValuePointer* ptr) {
+    if (vlog_ == nullptr) {
+      const uint64_t number = NewOutputNumber();
+      std::unique_ptr<WritableFile> file;
+      Status s = db_->env_->NewWritableFile(
+          ValueLogFileName(db_->dbname_, number), &file);
+      if (!s.ok()) return s;
+      vlog_ = std::make_unique<ValueLogWriter>(std::move(file), pid_, number);
+    }
+    return vlog_->Add(user_key, value, ptr);
+  }
+
+  // Adds one SortedStore entry that governs `governed` logical bytes: the
+  // key plus the inline value or the pointed-to record.
+  Status AddEntry(const Slice& internal_key, const Slice& value,
+                  uint64_t governed) {
+    const Slice user_key = ExtractUserKey(internal_key);
+    if (builder_ == nullptr) {
+      const uint64_t number = NewOutputNumber();
+      Status s = db_->env_->NewWritableFile(
+          TableFileName(db_->dbname_, number), &table_file_);
+      if (!s.ok()) return s;
+      builder_ =
+          std::make_unique<TableBuilder>(table_options_, table_file_.get());
+      tables_.emplace_back();
+      tables_.back().number = number;
+      tables_.back().smallest = user_key.ToString();
+    }
+    builder_->Add(internal_key, value);
+    last_key_.assign(user_key.data(), user_key.size());
+    tables_.back().logical += governed;
+    if (builder_->FileSize() >= db_->options_.sorted_table_size ||
+        tables_.back().logical >= rotation_logical_) {
+      return FinishTable();
+    }
+    return Status::OK();
+  }
+
+  // Finishes the open table and makes the value log durable.
+  Status Finish() {
+    Status s = FinishTable();
+    if (s.ok() && vlog_ != nullptr) {
+      s = vlog_->Sync();
+      if (s.ok()) s = vlog_->Close();
+      if (s.ok()) bytes_written_ += vlog_->CurrentOffset();
+    }
+    return s;
+  }
+
+  // Adds the finished tables and the value log (if any) to `edit`.
+  void AddToEdit(VersionEdit* edit) const {
+    for (const FileMeta& f : tables_) edit->AddSortedFile(pid_, f);
+    if (vlog_bytes() > 0) {
+      edit->AddValueLog(pid_, VlogMeta{vlog_->log_number(), vlog_bytes()});
+    }
+  }
+
+  size_t num_tables() const { return tables_.size(); }
+  uint64_t vlog_bytes() const {
+    return vlog_ == nullptr ? 0 : vlog_->CurrentOffset();
+  }
+  uint64_t bytes_written() const { return bytes_written_; }
+
+ private:
+  uint64_t NewOutputNumber() {
+    MutexLock lock(&db_->mu_);
+    const uint64_t number = db_->versions_->NewFileNumber();
+    db_->pending_outputs_.insert(number);
+    numbers_.push_back(number);
+    return number;
+  }
+
+  Status FinishTable() {
+    if (builder_ == nullptr) return Status::OK();
+    Status s = builder_->Finish();
+    if (s.ok()) s = table_file_->Sync();
+    if (s.ok()) s = table_file_->Close();
+    if (s.ok()) {
+      tables_.back().size = builder_->FileSize();
+      tables_.back().largest = last_key_;
+      bytes_written_ += builder_->FileSize();
+    }
+    builder_.reset();
+    table_file_.reset();
+    return s;
+  }
+
+  UniKVDB* const db_;
+  const uint32_t pid_;
+  const TableOptions table_options_;
+  const uint64_t rotation_logical_;
+  std::vector<uint64_t> numbers_;  // Registered in pending_outputs_.
+  std::vector<FileMeta> tables_;
+  std::unique_ptr<WritableFile> table_file_;
+  std::unique_ptr<TableBuilder> builder_;
+  std::string last_key_;  // Last user key added to the open table.
+  std::unique_ptr<ValueLogWriter> vlog_;
+  uint64_t bytes_written_ = 0;
+};
+
+namespace {
+
+// Whether any partition of `ver` other than `pid` references value log
+// `number` (a log stays shared after a split until each side collects it).
+bool LogSharedWith(const VersionData& ver, uint64_t number, uint32_t pid) {
+  for (const auto& p : ver.partitions) {
+    if (p->id == pid) continue;
+    for (const VlogMeta& v : p->vlogs) {
+      if (v.number == number) return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 // ------------------------------------------------------------------ merge
 
 Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
@@ -622,73 +790,15 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
   std::unique_ptr<Iterator> merged(
       NewMergingIterator(icmp_, std::move(children)));
 
-  // Output value log (partial KV separation: only values arriving from
-  // the UnsortedStore are appended; SortedStore values keep their existing
-  // pointers).
-  std::unique_ptr<ValueLogWriter> vlog;
-  uint64_t vlog_number = 0;
-  if (separate) {
-    MutexLock lock(&mu_);
-    vlog_number = versions_->NewFileNumber();
-    pending_outputs_.insert(vlog_number);
-  }
-  if (separate) {
-    std::unique_ptr<WritableFile> vfile;
-    Status s =
-        env_->NewWritableFile(ValueLogFileName(dbname_, vlog_number), &vfile);
-    if (!s.ok()) {
-      MutexLock lock(&mu_);
-      pending_outputs_.erase(vlog_number);
-      return s;
-    }
-    vlog = std::make_unique<ValueLogWriter>(std::move(vfile), pid,
-                                            vlog_number);
-  }
-
-  // Output tables.
-  struct Output {
-    FileMeta meta;
-  };
-  std::vector<Output> outputs;
-  std::unique_ptr<WritableFile> out_file;
-  std::unique_ptr<TableBuilder> builder;
-  std::string first_key;
-  uint64_t garbage_added = 0;
-  uint64_t bytes_written = 0;
+  // Partial KV separation: only values arriving from the UnsortedStore
+  // are appended to the job's log; SortedStore values keep their pointers.
+  JobOutputs out(this, pid);
+  // Dead record bytes this merge creates, per value log.
+  std::unordered_map<uint64_t, uint64_t> garbage_added;
   Status s;
-
-  auto rotate_output = [&]() -> Status {
-    if (builder == nullptr) return Status::OK();
-    Status rs = builder->Finish();
-    if (rs.ok()) rs = out_file->Sync();
-    if (rs.ok()) rs = out_file->Close();
-    if (rs.ok()) {
-      outputs.back().meta.size = builder->FileSize();
-      bytes_written += builder->FileSize();
-    }
-    builder.reset();
-    out_file.reset();
-    return rs;
-  };
-  auto open_output = [&]() -> Status {
-    uint64_t number;
-    {
-      MutexLock lock(&mu_);
-      number = versions_->NewFileNumber();
-      pending_outputs_.insert(number);
-    }
-    outputs.emplace_back();
-    outputs.back().meta.number = number;
-    Status rs = env_->NewWritableFile(TableFileName(dbname_, number), &out_file);
-    if (!rs.ok()) return rs;
-    builder = std::make_unique<TableBuilder>(SortedTableOptions(options_),
-                                             out_file.get());
-    first_key.clear();
-    return Status::OK();
-  };
-
   std::string current_user_key;
   bool has_current_user_key = false;
+  std::string out_key;
   std::string rewritten;
 
   for (merged->SeekToFirst(); s.ok() && merged->Valid(); merged->Next()) {
@@ -707,11 +817,13 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
       has_current_user_key = true;
     } else {
       // An older, shadowed version: drop it. If it pointed into a value
-      // log, its record becomes garbage.
+      // log, its record becomes garbage of that log.
       if (ikey.type == kTypeValuePointer) {
         ValuePointer ptr;
         Slice encoded = merged->value();
-        if (ptr.DecodeFrom(&encoded)) garbage_added += ptr.size;
+        if (ptr.DecodeFrom(&encoded)) {
+          garbage_added[ptr.log_number] += ptr.size;
+        }
       }
       continue;
     }
@@ -722,79 +834,38 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
     }
 
     Slice out_value = merged->value();
-    ValueType out_type = ikey.type;
+    // Logical bytes: key plus the value the entry governs (the pointed-to
+    // record for separated values).
+    uint64_t governed = ikey.user_key.size();
     if (ikey.type == kTypeValue && separate &&
         out_value.size() >= options_.value_separation_threshold) {
       // Value arriving from the UnsortedStore: separate it. Values below
       // the separation threshold stay inline (differentiated management
       // of small KVs, paper §Memory overhead discussion).
       ValuePointer ptr;
-      s = vlog->Add(ikey.user_key, out_value, &ptr);
+      s = out.AddValue(ikey.user_key, out_value, &ptr);
       if (!s.ok()) break;
       rewritten.clear();
       ptr.EncodeTo(&rewritten);
       out_value = Slice(rewritten);
-      out_type = kTypeValuePointer;
-    }
-
-    if (builder == nullptr) {
-      s = open_output();
-      if (!s.ok()) break;
-    }
-    std::string out_key;
-    AppendInternalKey(&out_key,
-                      ParsedInternalKey(ikey.user_key, ikey.sequence,
-                                        out_type));
-    builder->Add(out_key, out_value);
-    // Logical bytes: key plus the value the entry governs (the pointed-to
-    // record for separated values).
-    uint64_t governed = ikey.user_key.size();
-    if (out_type == kTypeValuePointer) {
-      ValuePointer p2;
-      Slice encoded2(out_value);
-      if (p2.DecodeFrom(&encoded2)) governed += p2.size;
+      governed += ptr.size;
+      out_key.clear();
+      AppendInternalKey(&out_key,
+                        ParsedInternalKey(ikey.user_key, ikey.sequence,
+                                          kTypeValuePointer));
+      internal_key = Slice(out_key);
+    } else if (ikey.type == kTypeValuePointer) {
+      ValuePointer ptr;
+      Slice encoded = out_value;
+      if (ptr.DecodeFrom(&encoded)) governed += ptr.size;
     } else {
       governed += out_value.size();
     }
-    outputs.back().meta.logical += governed;
-    if (first_key.empty()) first_key = ikey.user_key.ToString();
-    outputs.back().meta.smallest = first_key;
-    outputs.back().meta.largest = ikey.user_key.ToString();
-
-    // Rotate on physical size OR governed logical size, so a partition
-    // large in *values* still produces multiple tables (split points).
-    const uint64_t rotation_logical =
-        std::max<uint64_t>(options_.sorted_table_size,
-                           options_.partition_size_limit / 8);
-    if (builder->FileSize() >= options_.sorted_table_size ||
-        outputs.back().meta.logical >= rotation_logical) {
-      s = rotate_output();
-      if (!s.ok()) break;
-    }
+    s = out.AddEntry(internal_key, out_value, governed);
   }
   if (s.ok()) s = merged->status();
-  if (s.ok()) {
-    s = rotate_output();
-  } else if (builder != nullptr) {
-    builder->Abandon();
-    builder.reset();
-  }
-
-  uint64_t vlog_size = 0;
-  if (s.ok() && vlog != nullptr) {
-    vlog_size = vlog->CurrentOffset();
-    if (vlog_size > 0) {
-      s = vlog->Sync();
-      if (s.ok()) s = vlog->Close();
-      bytes_written += vlog_size;
-    }
-  }
-  if (!s.ok()) {
-    MutexLock lock(&mu_);
-    for (const Output& out : outputs) pending_outputs_.erase(out.meta.number);
-    if (separate) pending_outputs_.erase(vlog_number);
-    return s;
-  }
+  if (s.ok()) s = out.Finish();
+  if (!s.ok()) return s;
 
   // Install: the snapshot's unsorted files and previous sorted files are
   // replaced wholesale; old value logs stay (their dead records are GC'ed
@@ -804,13 +875,7 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
   VersionEdit edit;
   for (const FileMeta& f : p->unsorted) edit.RemoveUnsortedFile(pid, f.number);
   for (const FileMeta& f : p->sorted) edit.RemoveSortedFile(pid, f.number);
-  for (const Output& out : outputs) edit.AddSortedFile(pid, out.meta);
-  if (separate && vlog_size > 0) {
-    VlogMeta v;
-    v.number = vlog_number;
-    v.size = vlog_size;
-    edit.AddValueLog(pid, v);
-  }
+  out.AddToEdit(&edit);
   edit.SetIndexCheckpoint(pid, 0);
 
   MutexLock lock(&mu_);
@@ -825,8 +890,6 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
       versions_->current()->FindById(pid);
   if (cur_p == nullptr) {
     // Partition vanished (unreachable today: nothing removes partitions).
-    for (const Output& out : outputs) pending_outputs_.erase(out.meta.number);
-    if (separate) pending_outputs_.erase(vlog_number);
     return Status::OK();
   }
   std::set<uint64_t> consumed;
@@ -846,13 +909,7 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
                                             options_.index_num_hashes);
     for (const FileMeta& f : survivors) {
       s = InsertTableIntoIndex(new_index.get(), f);
-      if (!s.ok()) {
-        for (const Output& out : outputs) {
-          pending_outputs_.erase(out.meta.number);
-        }
-        if (separate) pending_outputs_.erase(vlog_number);
-        return s;
-      }
+      if (!s.ok()) return s;
     }
   }
 
@@ -861,8 +918,6 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
   MaintainAnchorViewLocked(pid, survivors, nullptr, nullptr, &edit);
 
   s = versions_->LogAndApply(&edit);
-  for (const Output& out : outputs) pending_outputs_.erase(out.meta.number);
-  if (separate) pending_outputs_.erase(vlog_number);
   if (s.ok()) {
     if (new_index != nullptr) {
       indexes_[pid] = new_index;
@@ -871,12 +926,16 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
       if (it != indexes_.end()) it->second->Clear();
     }
     flushes_since_checkpoint_[pid] = 0;
-    vlog_garbage_[pid] += garbage_added;
+    uint64_t garbage_total = 0;
+    for (const auto& [log, bytes] : garbage_added) {
+      vlog_garbage_[log] += bytes;
+      garbage_total += bytes;
+    }
     stats_.merges++;
     stats_.merge_bytes_read += bytes_read;
-    stats_.merge_bytes_written += bytes_written;
+    stats_.merge_bytes_written += out.bytes_written();
     partition_stats_[pid].merges++;
-    partition_stats_[pid].merge_bytes_written += bytes_written;
+    partition_stats_[pid].merge_bytes_written += out.bytes_written();
 
     const uint64_t dur = env_->NowMicros() - start_us;
     metrics_.merge_latency->Add(static_cast<double>(dur));
@@ -884,12 +943,12 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
     ev.AddUint("partition", pid);
     ev.AddUint("duration_micros", dur);
     ev.AddUint("bytes_read", bytes_read);
-    ev.AddUint("bytes_written", bytes_written);
+    ev.AddUint("bytes_written", out.bytes_written());
     ev.AddUint("input_tables", p->unsorted.size() + p->sorted.size());
-    ev.AddUint("output_tables", outputs.size());
+    ev.AddUint("output_tables", out.num_tables());
     ev.AddUint("surviving_tables", survivors.size());
-    ev.AddUint("vlog_bytes", vlog_size);
-    ev.AddUint("garbage_added", garbage_added);
+    ev.AddUint("vlog_bytes", out.vlog_bytes());
+    ev.AddUint("garbage_added", garbage_total);
     event_log_->Log("merge", &ev);
   }
   bg_cv_.SignalAll();
@@ -1037,34 +1096,16 @@ Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
 
 // --------------------------------------------------------------------- GC
 
-Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
+Status UniKVDB::GcPartition(const WorkItem& item) {
   const uint64_t start_us = env_->NowMicros();
+  const std::shared_ptr<const PartitionState>& p = item.partition;
   const uint32_t pid = p->id;
-  if (p->sorted.empty() || p->vlogs.empty()) {
-    MutexLock lock(&mu_);
-    vlog_garbage_[pid] = 0;
-    return Status::OK();
-  }
+  const std::set<uint64_t> selected(item.gc_logs.begin(), item.gc_logs.end());
 
-  // New value log for the rewritten live values.
-  uint64_t vlog_number;
-  {
-    MutexLock lock(&mu_);
-    vlog_number = versions_->NewFileNumber();
-    pending_outputs_.insert(vlog_number);
-  }
-  std::unique_ptr<WritableFile> vfile;
-  Status s =
-      env_->NewWritableFile(ValueLogFileName(dbname_, vlog_number), &vfile);
-  if (!s.ok()) {
-    MutexLock lock(&mu_);
-    pending_outputs_.erase(vlog_number);
-    return s;
-  }
-  ValueLogWriter vlog(std::move(vfile), pid, vlog_number);
-
-  // Scan the SortedStore (the authority on liveness), fetch every live
-  // value, append it to the new log, and write back keys + new pointers.
+  // Scan the SortedStore (the authority on liveness). Values in the
+  // selected logs are fetched and appended to the job's log; every other
+  // entry — inline values and pointers into kept logs — is rewritten byte
+  // for byte.
   std::vector<Iterator*> run;
   uint64_t bytes_read = 0;
   for (const FileMeta& f : p->sorted) {
@@ -1073,155 +1114,100 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
   }
   std::unique_ptr<Iterator> iter(
       NewConcatenatingIterator(icmp_, std::move(run)));
-
-  std::vector<FileMeta> outputs;
-  std::unique_ptr<WritableFile> out_file;
-  std::unique_ptr<TableBuilder> builder;
-  uint64_t bytes_written = 0;
-
-  auto rotate_output = [&]() -> Status {
-    if (builder == nullptr) return Status::OK();
-    Status rs = builder->Finish();
-    if (rs.ok()) rs = out_file->Sync();
-    if (rs.ok()) rs = out_file->Close();
-    if (rs.ok()) {
-      outputs.back().size = builder->FileSize();
-      bytes_written += builder->FileSize();
-    }
-    builder.reset();
-    out_file.reset();
-    return rs;
-  };
-  auto open_output = [&]() -> Status {
-    uint64_t number;
-    {
-      MutexLock lock(&mu_);
-      number = versions_->NewFileNumber();
-      pending_outputs_.insert(number);
-    }
-    outputs.emplace_back();
-    outputs.back().number = number;
-    Status rs = env_->NewWritableFile(TableFileName(dbname_, number), &out_file);
-    if (!rs.ok()) return rs;
-    builder = std::make_unique<TableBuilder>(SortedTableOptions(options_),
-                                             out_file.get());
-    return Status::OK();
-  };
+  JobOutputs out(this, pid);
 
   // Live values are fetched a batch at a time through the shared value
   // fetcher (sorted, coalesced, key-checked), then rewritten in key order.
+  // A batch holds up to kBatchBytes of values: a key range spread over
+  // many logs yields only a few records per log, and a longer batch gives
+  // each log longer coalesced spans.
   struct Entry {
     std::string internal_key;
-    std::string value;  // Inline value, or the fetched value of a pointer.
-    bool is_pointer = false;
+    std::string value;  // As stored, or the fetched value when `fetch`.
     ValuePointer ptr;
+    bool fetch = false;
+    uint64_t governed = 0;
     Status status;
   };
   std::vector<Entry> batch;
-  const size_t kBatchSize = 256;
+  std::vector<ValueFetch> fetches;
+  const size_t kBatchEntries = 4096;
+  const uint64_t kBatchBytes = 4 << 20;
+  uint64_t batch_bytes = 0;
+  // Record bytes copied out of each selected log.
+  std::unordered_map<uint64_t, uint64_t> copied;
+  uint64_t live_bytes_copied = 0;
 
   auto flush_batch = [&]() -> Status {
-    if (batch.empty()) return Status::OK();
-    std::vector<ValueFetch> fetches;
+    fetches.clear();
     for (Entry& e : batch) {
-      if (!e.is_pointer) continue;
+      if (!e.fetch) continue;
       fetches.push_back(ValueFetch{e.ptr, ExtractUserKey(e.internal_key),
                                    &e.value, &e.status});
     }
-    vlog_cache_->Fetch(&fetches, options_.multiget_coalesce_gap_bytes);
+    if (!fetches.empty()) {
+      vlog_cache_->Fetch(&fetches, options_.multiget_coalesce_gap_bytes);
+    }
+    std::string encoded;
     for (Entry& e : batch) {
       if (!e.status.ok()) return e.status;
-      Slice user_key = ExtractUserKey(e.internal_key);
-      Slice out_value(e.value);
-      std::string encoded;
-      if (e.is_pointer) {
-        bytes_read += e.ptr.size;
+      Slice value(e.value);
+      if (e.fetch) {
         ValuePointer new_ptr;
-        Status rs = vlog.Add(user_key, e.value, &new_ptr);
+        Status rs =
+            out.AddValue(ExtractUserKey(e.internal_key), e.value, &new_ptr);
         if (!rs.ok()) return rs;
         encoded.clear();
         new_ptr.EncodeTo(&encoded);
-        out_value = Slice(encoded);
+        value = Slice(encoded);
+        copied[e.ptr.log_number] += e.ptr.size;
+        live_bytes_copied += e.ptr.size;
       }
-      if (builder == nullptr) {
-        Status rs = open_output();
-        if (!rs.ok()) return rs;
-      }
-      builder->Add(e.internal_key, out_value);
-      uint64_t governed = user_key.size();
-      if (e.is_pointer) {
-        governed += e.value.size();
-      } else {
-        governed += out_value.size();
-      }
-      outputs.back().logical += governed;
-      if (outputs.back().smallest.empty()) {
-        outputs.back().smallest = user_key.ToString();
-      }
-      outputs.back().largest = user_key.ToString();
-      const uint64_t rotation_logical =
-          std::max<uint64_t>(options_.sorted_table_size,
-                             options_.partition_size_limit / 8);
-      if (builder->FileSize() >= options_.sorted_table_size ||
-          outputs.back().logical >= rotation_logical) {
-        Status rs = rotate_output();
-        if (!rs.ok()) return rs;
-      }
+      Status rs = out.AddEntry(e.internal_key, value, e.governed);
+      if (!rs.ok()) return rs;
     }
     batch.clear();
+    batch_bytes = 0;
     return Status::OK();
   };
 
+  Status s;
   for (iter->SeekToFirst(); s.ok() && iter->Valid(); iter->Next()) {
     Entry e;
     e.internal_key = iter->key().ToString();
-    ValueType type = ExtractValueType(iter->key());
-    if (type == kTypeValuePointer) {
+    e.value = iter->value().ToString();
+    e.governed = ExtractUserKey(iter->key()).size();
+    if (ExtractValueType(iter->key()) == kTypeValuePointer) {
       Slice encoded = iter->value();
       if (!e.ptr.DecodeFrom(&encoded)) {
         s = Status::Corruption("bad value pointer during GC");
         break;
       }
-      e.is_pointer = true;
+      e.governed += e.ptr.size;
+      e.fetch = selected.count(e.ptr.log_number) > 0;
+      if (e.fetch) batch_bytes += e.ptr.size;
     } else {
-      e.value = iter->value().ToString();
+      e.governed += e.value.size();
     }
     batch.push_back(std::move(e));
-    if (batch.size() >= kBatchSize) {
+    if (batch.size() >= kBatchEntries || batch_bytes >= kBatchBytes) {
       s = flush_batch();
     }
   }
   if (s.ok()) s = iter->status();
   if (s.ok()) s = flush_batch();
-  if (s.ok()) s = rotate_output();
+  if (s.ok()) s = out.Finish();
+  if (!s.ok()) return s;
+  bytes_read += live_bytes_copied;
 
-  uint64_t vlog_size = vlog.CurrentOffset();
-  if (s.ok() && vlog_size > 0) {
-    s = vlog.Sync();
-    if (s.ok()) s = vlog.Close();
-    bytes_written += vlog_size;
-  }
-  if (!s.ok()) {
-    MutexLock lock(&mu_);
-    for (const FileMeta& f : outputs) pending_outputs_.erase(f.number);
-    pending_outputs_.erase(vlog_number);
-    if (builder != nullptr) builder->Abandon();
-    return s;
-  }
-
-  // Install atomically: old sorted tables and this partition's references
-  // to the old logs go away; shared logs survive physically until the
-  // sibling partition GCs too (lazy split completion).
+  // Install atomically: the old sorted tables and this partition's
+  // references to the selected logs go away; kept logs stay referenced,
+  // and a selected log shared with a sibling partition survives physically
+  // until the sibling collects it too (lazy split completion).
   VersionEdit edit;
   for (const FileMeta& f : p->sorted) edit.RemoveSortedFile(pid, f.number);
-  for (const VlogMeta& v : p->vlogs) edit.RemoveValueLog(pid, v.number);
-  for (const FileMeta& f : outputs) edit.AddSortedFile(pid, f);
-  if (vlog_size > 0) {
-    VlogMeta v;
-    v.number = vlog_number;
-    v.size = vlog_size;
-    edit.AddValueLog(pid, v);
-  }
+  for (uint64_t number : selected) edit.RemoveValueLog(pid, number);
+  out.AddToEdit(&edit);
 
   MutexLock lock(&mu_);
 
@@ -1242,8 +1228,6 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
     }
     if (!unchanged) {
       assert(false && "partition changed under an exclusive GC");
-      for (const FileMeta& f : outputs) pending_outputs_.erase(f.number);
-      pending_outputs_.erase(vlog_number);
       return Status::OK();
     }
   }
@@ -1256,34 +1240,36 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
     // shared with a sibling partition stay (they are not obsolete even
     // after this edit), matching what the buggy ordering would delete.
     VersionPtr cur = versions_->current();
-    for (const VlogMeta& v : p->vlogs) {
-      bool shared = false;
-      for (const auto& other : cur->partitions) {
-        if (other->id == pid) continue;
-        for (const VlogMeta& ov : other->vlogs) {
-          if (ov.number == v.number) {
-            shared = true;
-            break;
-          }
-        }
-      }
-      if (shared) continue;
-      vlog_cache_->Evict(0, v.number);
+    for (uint64_t number : selected) {
+      if (LogSharedWith(*cur, number, pid)) continue;
+      vlog_cache_->Evict(0, number);
       // Best-effort: a survivor costs disk until the next obsolete-file
       // sweep retries it; GC itself already succeeded.
-      (void)env_->RemoveFile(ValueLogFileName(dbname_, v.number));
+      (void)env_->RemoveFile(ValueLogFileName(dbname_, number));
     }
   }
   s = versions_->LogAndApply(&edit);
-  for (const FileMeta& f : outputs) pending_outputs_.erase(f.number);
-  pending_outputs_.erase(vlog_number);
   if (s.ok()) {
-    vlog_garbage_[pid] = 0;
+    // A selected log a sibling still references keeps its entry, grown by
+    // the records copied out of it (dead now: no partition points there);
+    // an unreferenced one is obsolete and leaves the map.
+    VersionPtr cur = versions_->current();
+    uint64_t garbage_reclaimed = 0;
+    for (uint64_t number : selected) {
+      auto git = vlog_garbage_.find(number);
+      if (git == vlog_garbage_.end()) continue;
+      garbage_reclaimed += git->second;
+      if (LogSharedWith(*cur, number, pid)) {
+        git->second += copied[number];
+      } else {
+        vlog_garbage_.erase(git);
+      }
+    }
     stats_.gcs++;
     stats_.gc_bytes_read += bytes_read;
-    stats_.gc_bytes_written += bytes_written;
+    stats_.gc_bytes_written += out.bytes_written();
     partition_stats_[pid].gcs++;
-    partition_stats_[pid].gc_bytes_written += bytes_written;
+    partition_stats_[pid].gc_bytes_written += out.bytes_written();
 
     const uint64_t dur = env_->NowMicros() - start_us;
     metrics_.gc_latency->Add(static_cast<double>(dur));
@@ -1291,10 +1277,13 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
     ev.AddUint("partition", pid);
     ev.AddUint("duration_micros", dur);
     ev.AddUint("bytes_read", bytes_read);
-    ev.AddUint("bytes_written", bytes_written);
-    ev.AddUint("input_vlogs", p->vlogs.size());
-    ev.AddUint("output_tables", outputs.size());
-    ev.AddUint("vlog_bytes", vlog_size);
+    ev.AddUint("bytes_written", out.bytes_written());
+    ev.AddUint("selected_vlogs", selected.size());
+    ev.AddUint("kept_vlogs", p->vlogs.size() - selected.size());
+    ev.AddUint("live_bytes_copied", live_bytes_copied);
+    ev.AddUint("garbage_reclaimed", garbage_reclaimed);
+    ev.AddUint("output_tables", out.num_tables());
+    ev.AddUint("vlog_bytes", out.vlog_bytes());
     event_log_->Log("gc", &ev);
   }
   bg_cv_.SignalAll();
@@ -1360,9 +1349,6 @@ Status UniKVDB::SplitPartition(std::shared_ptr<const PartitionState> p) {
   if (s.ok()) {
     indexes_[npid] = std::make_shared<HashIndex>(IndexExpectedEntries(),
                                                  options_.index_num_hashes);
-    uint64_t garbage = vlog_garbage_[p->id];
-    vlog_garbage_[p->id] = garbage / 2;
-    vlog_garbage_[npid] = garbage - garbage / 2;
     flushes_since_checkpoint_[npid] = 0;
     stats_.splits++;
     partition_stats_[p->id].splits++;

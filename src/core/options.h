@@ -48,7 +48,10 @@ struct Options {
   /// fewer consolidation rewrites, less background write traffic.
   int scan_merge_limit = 16;
 
-  /// Stale value-log bytes in a partition that trigger GC.
+  /// GC of a partition is due when its value logs that are at least half
+  /// dead (counted over every partition sharing the log) hold this many
+  /// dead bytes; it then collects exactly those logs. CompactAll collects
+  /// every log with a dead byte regardless.
   size_t gc_garbage_threshold = 16 * 1024 * 1024;
 
   /// Target size of each SortedStore SSTable produced by merges/GC.
@@ -90,8 +93,9 @@ struct Options {
   size_t index_expected_entry_size = 1024;
 
   /// Size of the reader pool that serves ReadOptions::multiget_parallelism
-  /// only. Scans and GC fetch values on their own thread (the paper's
-  /// 32-thread scan pool lost to that here; DESIGN.md §1).
+  /// only; its threads start at the first MultiGet that asks for
+  /// parallelism > 1. Scans and GC fetch values on their own thread (the
+  /// paper's 32-thread scan pool lost to that here; DESIGN.md §1).
   int value_fetch_threads = 8;
 
   /// Value-log coalescing for MultiGet, Scan and GC: two value pointers

@@ -216,7 +216,6 @@ UniKVDB::UniKVDB(const Options& options, const std::string& dbname)
                            metrics_.vlog_mmap_reads);
   event_log_ = std::make_unique<EventLogger>(env_, dbname_,
                                              options_.max_event_log_bytes);
-  fetch_pool_ = std::make_unique<ThreadPool>(options_.value_fetch_threads);
   versions_ = std::make_unique<VersionSet>(env_, dbname_);
 }
 
@@ -407,6 +406,8 @@ Status UniKVDB::Recover() {
   s = RebuildHashIndexes();
   if (!s.ok()) return s;
 
+  RebuildVlogGarbage();
+
   s = RecoverAnchorViews();
   if (!s.ok()) return s;
 
@@ -523,10 +524,50 @@ Status UniKVDB::RebuildHashIndexes() {
       if (!s.ok()) return s;
     }
     indexes_[p->id] = index;
-    vlog_garbage_[p->id] = 0;
     flushes_since_checkpoint_[p->id] = 0;
   }
   return Status::OK();
+}
+
+void UniKVDB::RebuildVlogGarbage() {
+  VersionPtr ver = versions_->current();
+  // Record bytes the SortedStore pointers reference, per log. Pointers
+  // live only in SortedStore tables: flushes write inline values. A table
+  // that cannot be read leaves its partition's logs without an entry (no
+  // GC until a merge counts garbage again); the read paths report the
+  // damage, so Open does not fail on it.
+  std::unordered_map<uint64_t, uint64_t> live;
+  std::set<uint64_t> unknown;
+  for (const auto& p : ver->partitions) {
+    if (p->vlogs.empty()) continue;
+    bool readable = true;
+    for (size_t i = 0; readable && i < p->sorted.size(); i++) {
+      const FileMeta& f = p->sorted[i];
+      std::unique_ptr<Iterator> iter(table_cache_->NewIterator(
+          f.number, f.size, nullptr, /*fill_cache=*/false));
+      for (iter->SeekToFirst(); readable && iter->Valid(); iter->Next()) {
+        if (ExtractValueType(iter->key()) != kTypeValuePointer) continue;
+        ValuePointer ptr;
+        Slice encoded = iter->value();
+        readable = ptr.DecodeFrom(&encoded);
+        if (readable) live[ptr.log_number] += ptr.size;
+      }
+      readable = readable && iter->status().ok();
+    }
+    if (!readable) {
+      for (const VlogMeta& v : p->vlogs) unknown.insert(v.number);
+    }
+  }
+  MutexLock lock(&mu_);
+  vlog_garbage_.clear();
+  for (const auto& p : ver->partitions) {
+    for (const VlogMeta& v : p->vlogs) {
+      const uint64_t referenced = live[v.number];
+      if (!unknown.count(v.number) && v.size > referenced) {
+        vlog_garbage_[v.number] = v.size - referenced;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------- anchor views (§12)
@@ -1188,6 +1229,13 @@ Status UniKVDB::Get(const ReadOptions& /*options*/, const Slice& key,
 
 // ----------------------------------------------- batched read (MultiGet)
 
+ThreadPool* UniKVDB::FetchPool() {
+  std::call_once(fetch_pool_once_, [this] {
+    fetch_pool_ = std::make_unique<ThreadPool>(options_.value_fetch_threads);
+  });
+  return fetch_pool_.get();
+}
+
 Status UniKVDB::MultiGet(const ReadOptions& options,
                          const std::vector<Slice>& keys,
                          std::vector<std::string>* values,
@@ -1391,13 +1439,14 @@ Status UniKVDB::MultiGetImpl(const ReadOptions& options,
   // thread-local contexts; the multiget_* counters below are unaffected.
   const int parallelism =
       std::min({options.multiget_parallelism, static_cast<int>(groups.size()),
-                fetch_pool_->num_threads()});
+                std::max(options_.value_fetch_threads, 1)});
   if (parallelism > 1) {
+    ThreadPool* pool = FetchPool();
     ThreadPool::TaskGroup tasks;
     const size_t chunk = (groups.size() + parallelism - 1) / parallelism;
     for (size_t begin = 0; begin < groups.size(); begin += chunk) {
       const size_t end = std::min(begin + chunk, groups.size());
-      fetch_pool_->Schedule(&tasks, [&, begin, end] {
+      pool->Schedule(&tasks, [&, begin, end] {
         for (size_t g = begin; g < end; g++) {
           resolve_group(groups[g], &deferred_per_group[g]);
         }
@@ -1917,10 +1966,11 @@ std::string UniKVDB::MetricsTextLocked(const VersionData& ver) {
                 stats_.gc_bytes_written / 1048576.0, stalls, stall_us);
   result += buf;
   result += "-- partitions --\n";
-  for (const auto& p : ver.partitions) {
-    uint64_t garbage = 0;
-    auto git = vlog_garbage_.find(p->id);
-    if (git != vlog_garbage_.end()) garbage = git->second;
+  const std::vector<uint64_t> garbage_by_partition =
+      GarbageByPartitionLocked(ver);
+  for (size_t i = 0; i < ver.partitions.size(); i++) {
+    const auto& p = ver.partitions[i];
+    const uint64_t garbage = garbage_by_partition[i];
     const uint64_t vlog_bytes = p->VlogBytes();
     // The lower bound is an arbitrary user key and goes through string
     // appends; only the fixed-width numeric tail uses the snprintf buffer.
@@ -1954,16 +2004,31 @@ std::string UniKVDB::MetricsTextLocked(const VersionData& ver) {
   return result;
 }
 
+std::vector<uint64_t> UniKVDB::GarbageByPartitionLocked(
+    const VersionData& ver) {
+  std::vector<uint64_t> out;
+  std::set<uint64_t> counted;
+  for (const auto& p : ver.partitions) {
+    uint64_t garbage = 0;
+    for (const VlogMeta& v : p->vlogs) {
+      auto git = vlog_garbage_.find(v.number);
+      if (git != vlog_garbage_.end() && counted.insert(v.number).second) {
+        garbage += git->second;
+      }
+    }
+    out.push_back(garbage);
+  }
+  return out;
+}
+
 std::string UniKVDB::MetricsJsonLocked(const VersionData& ver) {
   std::string partitions = "[";
-  bool first = true;
-  for (const auto& p : ver.partitions) {
-    if (!first) partitions += ',';
-    first = false;
-
-    uint64_t garbage = 0;
-    auto git = vlog_garbage_.find(p->id);
-    if (git != vlog_garbage_.end()) garbage = git->second;
+  const std::vector<uint64_t> garbage_by_partition =
+      GarbageByPartitionLocked(ver);
+  for (size_t i = 0; i < ver.partitions.size(); i++) {
+    const auto& p = ver.partitions[i];
+    if (i > 0) partitions += ',';
+    const uint64_t garbage = garbage_by_partition[i];
     const uint64_t vlog_bytes = p->VlogBytes();
 
     uint64_t index_entries = 0, index_bytes = 0;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -245,6 +246,9 @@ class UniKVDB : public DB {
   Status CollectWalBatches(const std::string& fname,
                            std::vector<WalBatch>* out);
   Status RebuildHashIndexes();
+  /// Recomputes vlog_garbage_ from the recovered version: each log's size
+  /// minus the records the SortedStore pointers still reference.
+  void RebuildVlogGarbage() EXCLUDES(mu_);
   Status InsertTableIntoIndex(HashIndex* index, const FileMeta& f);
 
   /// The shard responsible for `user_key` (stable hash stripe; not
@@ -330,6 +334,9 @@ class UniKVDB : public DB {
     std::shared_ptr<const PartitionState> partition;
     /// For kFlush: index of the shard whose imm is to be flushed.
     int shard = -1;
+    /// For kGc: the value logs SelectGcLogs chose, and their dead bytes.
+    std::vector<uint64_t> gc_logs;
+    uint64_t gc_garbage = 0;
   };
 
   void MaybeScheduleWork() REQUIRES(mu_);
@@ -350,6 +357,15 @@ class UniKVDB : public DB {
   /// preconditions still hold) — the raw threshold check, ignoring the
   /// busy set. CompactAll drains on this.
   bool HasWorkPending() REQUIRES(mu_);
+  /// The GC predicate, shared by HasWorkPending and PickWork (whose
+  /// WorkItem carries the selection to the job), so that a picked GC
+  /// always has logs to collect. Fills `*logs` (if
+  /// non-null) with the partition's value logs whose dead share is at
+  /// least kGcMinDeadShare — under CompactAll, every log with a dead
+  /// byte — and `*garbage` with their dead bytes. True when those bytes
+  /// reach gc_garbage_threshold (under CompactAll: when non-zero).
+  bool SelectGcLogs(const PartitionState& p, std::vector<uint64_t>* logs,
+                    uint64_t* garbage) REQUIRES(mu_);
   /// Runs one job start to finish; all I/O, so never under mu_.
   Status DispatchWork(const WorkItem& item) EXCLUDES(mu_);
 
@@ -381,9 +397,16 @@ class UniKVDB : public DB {
       EXCLUDES(mu_);
   Status ScanMergePartition(std::shared_ptr<const PartitionState> p)
       EXCLUDES(mu_);
-  Status GcPartition(std::shared_ptr<const PartitionState> p) EXCLUDES(mu_);
+  /// Collects the value logs `item.gc_logs` of `item.partition`: copies
+  /// the partition's live values out of them, rewrites its key+pointer
+  /// tables (pointers into other logs unchanged), and drops only those
+  /// logs from the partition.
+  Status GcPartition(const WorkItem& item) EXCLUDES(mu_);
   Status SplitPartition(std::shared_ptr<const PartitionState> p)
       EXCLUDES(mu_);
+
+  /// Table + value-log writer shared by merge and GC (compaction.cc).
+  class JobOutputs;
 
   void RemoveObsoleteFiles() EXCLUDES(mu_);
   void RecordBackgroundError(const Status& s) EXCLUDES(mu_, err_mu_);
@@ -391,6 +414,11 @@ class UniKVDB : public DB {
   /// Renders `db.metrics` / `db.metrics.json`.
   std::string MetricsTextLocked(const VersionData& ver) REQUIRES(mu_);
   std::string MetricsJsonLocked(const VersionData& ver) REQUIRES(mu_);
+  /// Dead value-log bytes per partition of `ver` (same order). A log
+  /// shared after a split counts toward its first referencing partition
+  /// only, so the entries sum to the store's dead log bytes.
+  std::vector<uint64_t> GarbageByPartitionLocked(const VersionData& ver)
+      REQUIRES(mu_);
 
   // ---- StatsSampler (stats_sampler.cc) ----
 
@@ -503,7 +531,11 @@ class UniKVDB : public DB {
   std::unique_ptr<Cache> block_cache_;
   std::unique_ptr<TableCache> table_cache_;
   std::unique_ptr<ValueLogCache> vlog_cache_;
+  /// MultiGet's partition-group pool, started on first use (FetchPool)
+  /// so stores that never ask for multiget_parallelism > 1 run no pool
+  /// threads.
   std::unique_ptr<ThreadPool> fetch_pool_;
+  ThreadPool* FetchPool();
 
   // ---- Sharded foreground write path (DESIGN.md §10) ----
 
@@ -564,7 +596,11 @@ class UniKVDB : public DB {
   /// guarded by mu_; the views themselves are immutable, so readers
   /// snapshot the shared_ptr under mu_ and use it lock-free.
   std::unordered_map<uint32_t, AnchorViewPtr> anchor_views_ GUARDED_BY(mu_);
-  std::unordered_map<uint32_t, uint64_t> vlog_garbage_ GUARDED_BY(mu_);
+  /// Dead record bytes per value log, keyed by log number. A merge adds
+  /// each shadowed pointer's record; a GC adds the records it copies out
+  /// of a log a sibling partition still references. The entry goes when
+  /// no partition references the log; Recover rebuilds the map.
+  std::unordered_map<uint64_t, uint64_t> vlog_garbage_ GUARDED_BY(mu_);
   std::unordered_map<uint32_t, int> flushes_since_checkpoint_
       GUARDED_BY(mu_);
   std::unordered_map<uint32_t, PartitionCounters> partition_stats_
@@ -594,6 +630,8 @@ class UniKVDB : public DB {
   std::vector<std::thread> bg_threads_;
   /// Running only when options_.stats_sample_interval_ms > 0.
   std::thread sampler_thread_;
+  /// Guards the lazy creation of fetch_pool_.
+  std::once_flag fetch_pool_once_;
 
   size_t IndexExpectedEntries() const {
     size_t n = options_.unsorted_limit / options_.index_expected_entry_size;

@@ -18,7 +18,8 @@ constexpr size_t kValueLen = 128;  // Above the 64-byte separation threshold.
 constexpr const char* kProbeKey = "zz-post-crash-probe";
 }  // namespace
 
-CrashHarness::CrashHarness(int write_shards) : write_shards_(write_shards) {
+CrashHarness::CrashHarness(int write_shards, Script script)
+    : write_shards_(write_shards) {
   auto put = [this](uint64_t i, int version, bool sync) {
     Op op;
     op.kind = Op::kPut;
@@ -41,6 +42,23 @@ CrashHarness::CrashHarness(int write_shards) : write_shards_(write_shards) {
     op.kind = kind;
     ops_.push_back(std::move(op));
   };
+
+  if (script == Script::kSelectiveGc) {
+    // Keys 0..23 merge into one log, keys 100..123 into a second (the
+    // partition then splits, so both halves share both logs). Overwrites
+    // and a delete in the first range leave dead records only in the
+    // first log: GC collects it and keeps the second and the new one.
+    for (uint64_t i = 0; i < 24; i++) put(i, 0, i % 8 == 0);
+    barrier(Op::kCompact);
+    for (uint64_t i = 100; i < 124; i++) put(i, 0, i % 8 == 0);
+    barrier(Op::kCompact);
+    for (uint64_t i = 0; i < 12; i++) put(i, 1, i % 5 == 0);
+    del(15);
+    barrier(Op::kFlush);
+    barrier(Op::kCompact);
+    for (uint64_t i = 200; i < 204; i++) put(i, 0, i % 2 == 1);
+    return;
+  }
 
   // Phase 1 — WAL appends/syncs, then a flush (UnsortedStore tables, hash
   // index, manifest).
@@ -284,6 +302,17 @@ std::string CrashHarness::RunProfile(Profile* out) {
 
   out->workload_calls = fenv.TotalMutatingCalls();
   out->trace = fenv.Trace();
+  {
+    std::unique_ptr<SequentialFile> file;
+    if (fenv.NewSequentialFile(std::string(kDbName) + "/EVENTS", &file).ok()) {
+      std::string scratch(4096, '\0');
+      Slice chunk;
+      while (file->Read(scratch.size(), &chunk, scratch.data()).ok() &&
+             !chunk.empty()) {
+        out->events.append(chunk.data(), chunk.size());
+      }
+    }
+  }
 
   // A clean reopen (counts M for RunReopenCrashAt's matrix; everything is
   // still present because nothing was dropped).

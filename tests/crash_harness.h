@@ -39,14 +39,25 @@ class CrashHarness {
     uint64_t workload_calls = 0;  // N: counted calls in one workload run.
     uint64_t reopen_calls = 0;    // M: counted calls in one clean reopen.
     std::vector<FaultInjectionEnv::CallRecord> trace;  // Workload portion.
-    std::string stats;  // Final "db.stats" property text.
+    std::string stats;   // Final "db.stats" property text.
+    std::string events;  // The workload's EVENTS log.
+  };
+
+  enum class Script {
+    /// Every background op kind, GC collecting every log it references.
+    kDefault,
+    /// Two key ranges merged into separate logs, then overwrites in the
+    /// first range only: the GC collects the first log and keeps the
+    /// others (log-selective GC).
+    kSelectiveGc,
   };
 
   /// `write_shards` > 1 makes the scripted workload cross-shard: keys hash
   /// onto that many foreground shards, each with its own WAL, so every
   /// crash point also exercises the merged-by-sequence recovery path and
   /// the cross-shard durability floor.
-  explicit CrashHarness(int write_shards = 1);
+  explicit CrashHarness(int write_shards = 1,
+                        Script script = Script::kDefault);
 
   /// Clean run over a FaultInjectionEnv with tracing: fills *out and
   /// verifies the final and post-reopen state. Returns "" on success,

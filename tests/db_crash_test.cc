@@ -177,6 +177,38 @@ TEST(DbCrashTest, ShardedReopenCrashMatrix) {
   EXPECT_EQ(0u, failures);
 }
 
+// A GC that collects one log and keeps others: the crash matrix over a
+// workload whose GCs keep logs covers every Env call of such a job. The
+// kept logs' pointers are rewritten byte for byte, so a crash anywhere
+// must leave them resolvable.
+TEST(DbCrashTest, SelectiveGcCrashAtEveryFaultPoint) {
+  test::CrashHarness harness(1, test::CrashHarness::Script::kSelectiveGc);
+  test::CrashHarness::Profile profile;
+  ASSERT_EQ("", harness.RunProfile(&profile));
+  EXPECT_GE(ParseStat(profile.stats, "splits"), 1u) << profile.stats;
+  EXPECT_GE(ParseStat(profile.stats, "gcs"), 1u) << profile.stats;
+  bool kept = false;
+  for (size_t pos = profile.events.find("\"kept_vlogs\":");
+       pos != std::string::npos;
+       pos = profile.events.find("\"kept_vlogs\":", pos + 1)) {
+    kept = kept || std::strtoull(profile.events.c_str() + pos + 13, nullptr,
+                                 10) > 0;
+  }
+  ASSERT_TRUE(kept) << "no GC kept a log:\n" << profile.events;
+
+  const uint64_t stride = MatrixStride();
+  uint64_t failures = 0;
+  for (uint64_t i = 0; i < profile.workload_calls; i += stride) {
+    std::string r = harness.RunCrashAt(i);
+    if (!r.empty()) {
+      failures++;
+      EXPECT_EQ("", r) << "crash at call " << i;
+      if (failures >= 5) break;
+    }
+  }
+  EXPECT_EQ(0u, failures);
+}
+
 // Sensitivity check demanded by the acceptance criteria: reintroduce the
 // historical unsafe GC ordering (old value logs deleted before the manifest
 // install is durable) and prove the harness catches it. A harness that

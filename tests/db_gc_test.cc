@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdlib>
+#include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
+#include <set>
+#include <thread>
 
 #include "core/db.h"
 #include "core/filename.h"
@@ -42,6 +48,60 @@ uint64_t DirBytes(const std::string& dir, FileType want) {
     }
   }
   return total;
+}
+
+// Value-log record bytes of one test key/value pair: masked crc, two
+// varint lengths (1 byte for the 13-byte key, 2 for values of 128..16K),
+// key, value.
+uint64_t RecordBytes(size_t value_size) {
+  return 4 + 1 + 2 + test::TestKey(0).size() + value_size;
+}
+
+// `name=<n>` out of the db.stats text.
+uint64_t Stat(DB* db, const std::string& name) {
+  std::string stats;
+  if (!db->GetProperty("db.stats", &stats)) return 0;
+  const size_t pos = stats.find(name + "=");
+  if (pos == std::string::npos) return 0;
+  return std::strtoull(stats.c_str() + pos + name.size() + 1, nullptr, 10);
+}
+
+// Sum of every `"field":<n>` in `json`.
+uint64_t SumJsonField(const std::string& json, const std::string& field) {
+  const std::string needle = "\"" + field + "\":";
+  uint64_t sum = 0;
+  for (size_t pos = json.find(needle); pos != std::string::npos;
+       pos = json.find(needle, pos + 1)) {
+    sum += std::strtoull(json.c_str() + pos + needle.size(), nullptr, 10);
+  }
+  return sum;
+}
+
+uint64_t MetricsSum(DB* db, const std::string& field) {
+  std::string json;
+  if (!db->GetProperty("db.metrics.json", &json)) return 0;
+  return SumJsonField(json, field);
+}
+
+// Polls `done` for up to 20 s; background jobs run asynchronously.
+bool WaitUntil(const std::function<bool()>& done) {
+  for (int i = 0; i < 2000; i++) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return done();
+}
+
+// The `gc` lines of the store's EVENTS log.
+std::vector<std::string> GcEvents(const std::string& dir) {
+  std::vector<std::string> out;
+  std::ifstream in(dir + "/EVENTS");
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"event\":\"gc\"") != std::string::npos) {
+      out.push_back(line);
+    }
+  }
+  return out;
 }
 
 class DbGcTest : public testing::Test {
@@ -200,6 +260,210 @@ TEST_F(DbGcTest, SharedLogsAfterSplitAreLazilySegregated) {
     std::string value;
     ASSERT_TRUE(db_->Get(ReadOptions(), key, &value).ok()) << key;
     EXPECT_EQ(expected, value);
+  }
+}
+
+// Options for tests that drive GC by its threshold rather than through
+// CompactAll (which collects every log with a dead byte): each
+// FlushMemTable makes one table, which one merge turns into one log.
+Options ThresholdGcOptions() {
+  Options opt = GcOptions();
+  opt.write_buffer_size = 4 * 1024 * 1024;
+  opt.unsorted_limit = 1;  // Every flushed table is merged at once.
+  opt.gc_garbage_threshold = 100 * 1024;
+  return opt;
+}
+
+// Flushes the memtable and waits until its table is merged.
+void FlushAndSettle(DB* db, uint64_t merges_before) {
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  ASSERT_TRUE(WaitUntil([&] {
+    return Stat(db, "merges") > merges_before &&
+           MetricsSum(db, "unsorted_tables") == 0;
+  }));
+}
+
+// GC collects a log by its dead share: of two logs, the one three
+// quarters dead is copied, the one with 5% dead records keeps its file
+// number, and every value still reads back.
+TEST_F(DbGcTest, GcCopiesOnlyTheHalfDeadLog) {
+  Open(ThresholdGcOptions(), "gc_selective");
+  std::map<std::string, std::string> model;
+  auto put = [&](int i, int version) {
+    const std::string key = test::TestKey(i);
+    model[key] = test::TestValue(i * 100 + version, 1024);
+    ASSERT_TRUE(db_->Put(WriteOptions(), key, model[key]).ok());
+  };
+  for (int i = 0; i < 200; i++) put(i, 0);
+  FlushAndSettle(db_.get(), 0);
+  const std::vector<std::string> first = test::ValueLogPaths(dir_);
+  ASSERT_EQ(1u, first.size());
+  for (int i = 1000; i < 1200; i++) put(i, 0);
+  FlushAndSettle(db_.get(), 1);
+  std::vector<std::string> second = test::ValueLogPaths(dir_);
+  ASSERT_EQ(2u, second.size());
+  std::erase(second, first[0]);
+
+  // 150 of the first log's 200 records die; 10 of the second's.
+  for (int i = 0; i < 150; i++) put(i, 1);
+  for (int i = 1000; i < 1010; i++) put(i, 1);
+  FlushAndSettle(db_.get(), 2);
+  ASSERT_TRUE(WaitUntil([&] { return Stat(db_.get(), "gcs") == 1; }));
+
+  EXPECT_FALSE(Env::Default()->FileExists(first[0])) << "half-dead log kept";
+  EXPECT_TRUE(Env::Default()->FileExists(second[0]))
+      << "mostly-live log was rewritten";
+  for (const auto& [key, expected] : model) {
+    std::string value;
+    ASSERT_TRUE(db_->Get(ReadOptions(), key, &value).ok()) << key;
+    EXPECT_EQ(expected, value);
+  }
+
+  db_.reset();  // Close so EVENTS is complete.
+  const std::vector<std::string> gcs = GcEvents(dir_);
+  ASSERT_EQ(1u, gcs.size());
+  EXPECT_EQ(1u, SumJsonField(gcs[0], "selected_vlogs")) << gcs[0];
+  EXPECT_EQ(2u, SumJsonField(gcs[0], "kept_vlogs")) << gcs[0];
+  EXPECT_EQ(50 * RecordBytes(1024), SumJsonField(gcs[0], "live_bytes_copied"))
+      << gcs[0];
+  EXPECT_EQ(150 * RecordBytes(1024),
+            SumJsonField(gcs[0], "garbage_reclaimed"))
+      << gcs[0];
+}
+
+// A split leaves both halves referencing the old logs; none of those
+// records is dead, so CompactAll must not rewrite any log.
+TEST_F(DbGcTest, CompactAllAfterSplitRewritesNoLog) {
+  Options opt = GcOptions();
+  opt.partition_size_limit = 512 * 1024;  // Force splits.
+  Open(opt, "gc_split_no_rewrite");
+  for (int i = 0; i < 2000; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i),
+                         test::TestValue(i, 512))
+                    .ok());
+  }
+  ASSERT_TRUE(db_->CompactAll().ok());
+  std::string parts;
+  ASSERT_TRUE(db_->GetProperty("db.num-partitions", &parts));
+  ASSERT_GT(std::stoi(parts), 1);
+  const std::vector<std::string> logs = test::ValueLogPaths(dir_);
+  ASSERT_TRUE(db_->CompactAll().ok());
+
+  EXPECT_EQ(0u, Stat(db_.get(), "gcs"));
+  EXPECT_EQ(logs, test::ValueLogPaths(dir_));
+  EXPECT_EQ(0u, MetricsSum(db_.get(), "vlog_garbage_bytes"));
+}
+
+// CompactAll still reclaims every dead byte, including the dead records
+// in logs shared across a split: afterwards the logs hold exactly the
+// live records.
+TEST_F(DbGcTest, CompactAllReclaimsEveryDeadByteInSharedLogs) {
+  Options opt = GcOptions();
+  opt.partition_size_limit = 512 * 1024;  // Force splits.
+  Open(opt, "gc_split_reclaim");
+  const int kKeys = 2000;
+  for (int i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i),
+                         test::TestValue(i, 512))
+                    .ok());
+  }
+  ASSERT_TRUE(db_->CompactAll().ok());
+  std::string parts;
+  ASSERT_TRUE(db_->GetProperty("db.num-partitions", &parts));
+  ASSERT_GT(std::stoi(parts), 1);
+
+  // A few overwrites scattered over the whole key space leave a little
+  // garbage in every shared log.
+  for (int i = 0; i < kKeys; i += 50) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i),
+                         test::TestValue(i + 9999, 512))
+                    .ok());
+  }
+  ASSERT_TRUE(db_->CompactAll().ok());
+
+  EXPECT_EQ(0u, MetricsSum(db_.get(), "vlog_garbage_bytes"));
+  EXPECT_EQ(kKeys * RecordBytes(512), DirBytes(dir_, FileType::kValueLogFile));
+  for (int i = 0; i < kKeys; i++) {
+    std::string value;
+    ASSERT_TRUE(db_->Get(ReadOptions(), test::TestKey(i), &value).ok()) << i;
+    EXPECT_EQ(test::TestValue(i % 50 == 0 ? i + 9999 : i, 512), value);
+  }
+}
+
+// Uniform random overwrites with GC left to its threshold: the logs stay
+// within 2x the live bytes plus the GC threshold plus one UnsortedStore
+// of shadowed-but-unmerged records.
+TEST_F(DbGcTest, UniformOverwritesKeepLogSpaceBounded) {
+  Options opt = GcOptions();
+  opt.gc_garbage_threshold = 256 * 1024;
+  Open(opt, "gc_space_bound");
+  const int kKeys = 1000;
+  const uint64_t live = kKeys * RecordBytes(1024);
+  const uint64_t bound =
+      2 * live + opt.gc_garbage_threshold + opt.unsorted_limit;
+  for (int i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i),
+                         test::TestValue(i, 1024))
+                    .ok());
+  }
+  Random rnd(301);
+  for (int pass = 0; pass < 8; pass++) {
+    for (int n = 0; n < kKeys; n++) {
+      const int i = static_cast<int>(rnd.Uniform(kKeys));
+      ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i),
+                           test::TestValue(i + pass, 1024))
+                      .ok());
+    }
+    ASSERT_TRUE(db_->FlushMemTable().ok());
+    uint64_t vlog_bytes = 0;
+    EXPECT_TRUE(WaitUntil([&] {
+      vlog_bytes = DirBytes(dir_, FileType::kValueLogFile);
+      return vlog_bytes <= bound;
+    })) << "pass " << pass << ": " << vlog_bytes << " log bytes for "
+        << live << " live";
+  }
+  EXPECT_GE(Stat(db_.get(), "gcs"), 1u);
+}
+
+// Dead log bytes are rebuilt at Open: without that, a reopened store
+// forgot its garbage and CompactAll left every dead record in place.
+TEST_F(DbGcTest, GarbageSurvivesReopen) {
+  Options opt = GcOptions();
+  opt.unsorted_limit = 1;  // Every flushed table is merged at once.
+  opt.gc_garbage_threshold = uint64_t{1} << 40;  // Only CompactAll GCs.
+  Open(opt, "gc_reopen");
+  const int kKeys = 2000;
+  uint64_t merges = 0;
+  for (int pass = 0; pass < 3; pass++) {
+    for (int i = 0; i < kKeys; i++) {
+      ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i),
+                           test::TestValue(i + pass, 1024))
+                      .ok());
+    }
+    ASSERT_TRUE(db_->FlushMemTable().ok());
+    ASSERT_TRUE(WaitUntil([&] {
+      return MetricsSum(db_.get(), "unsorted_tables") == 0;
+    }));
+    merges = Stat(db_.get(), "merges");
+  }
+  ASSERT_GE(merges, 3u);
+  EXPECT_EQ(0u, Stat(db_.get(), "gcs"));
+  const uint64_t live = kKeys * RecordBytes(1024);
+  const uint64_t garbage = MetricsSum(db_.get(), "vlog_garbage_bytes");
+  EXPECT_EQ(2 * live, garbage);
+  EXPECT_EQ(3 * live, DirBytes(dir_, FileType::kValueLogFile));
+
+  db_.reset();
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(opt, dir_, &raw).ok());
+  db_.reset(raw);
+  EXPECT_EQ(garbage, MetricsSum(db_.get(), "vlog_garbage_bytes"));
+  ASSERT_TRUE(db_->CompactAll().ok());
+  EXPECT_EQ(live, DirBytes(dir_, FileType::kValueLogFile));
+  for (int i = 0; i < kKeys; i += 7) {
+    std::string value;
+    ASSERT_TRUE(db_->Get(ReadOptions(), test::TestKey(i), &value).ok()) << i;
+    EXPECT_EQ(test::TestValue(i + 2, 1024), value);
   }
 }
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -199,6 +200,41 @@ TEST_F(DbMultiGetTest, ParallelPartitionGroupsStayCorrect) {
     CheckBatch(std::vector<int>(ids.begin() + base, ids.begin() + end),
                /*parallelism=*/4);
   }
+}
+
+// Threads of this process, one /proc/self/task entry each.
+int CountThreads() {
+  int n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    n++;
+  }
+  return n;
+}
+
+// The value-fetch pool's only user is MultiGet with parallelism > 1:
+// Open and default-option reads start none of its threads; the first
+// parallel MultiGet starts all of them.
+TEST_F(DbMultiGetTest, FetchPoolStartsOnFirstParallelMultiGet) {
+  Options opt = SmallOptions();
+  opt.partition_size_limit = 256 * 1024;  // Several partition groups.
+  const int before = CountThreads();
+  OpenDb(opt, "_pool");
+  for (int i = 0; i < 3000; i++) Put(i, 0, 256);
+  ASSERT_TRUE(db_->CompactAll().ok());
+  std::string value;
+  ASSERT_TRUE(db_->Get(ReadOptions(), test::TestKey(7), &value).ok());
+  std::vector<std::pair<std::string, std::string>> rows;
+  ASSERT_TRUE(db_->Scan(ReadOptions(), test::TestKey(100), 50, &rows).ok());
+  std::vector<int> ids;
+  for (int i = 0; i < 3000; i += 11) ids.push_back(i);
+  CheckBatch(ids, /*parallelism=*/1);
+  EXPECT_EQ(before + opt.background_threads, CountThreads());
+
+  CheckBatch(ids, /*parallelism=*/4);
+  EXPECT_EQ(before + opt.background_threads + opt.value_fetch_threads,
+            CountThreads());
 }
 
 TEST_F(DbMultiGetTest, SnapshotConsistencyUnderConcurrentWriters) {
