@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <system_error>
+#include <thread>
 
 #include "core/filename.h"
 #include "core/merging_iterator.h"
@@ -129,16 +131,22 @@ UniKVDB::WorkItem UniKVDB::PickWork() {
   }
 
   // 4. GC: greedy — the partition with the most garbage in its
-  //    selectable logs.
+  //    selectable logs. CompactAll's caller waits for the whole reclaim,
+  //    so its GCs spread over background_threads threads each; any other
+  //    GC copies on one thread and leaves the CPUs to foreground work.
+  best = 0;
   for (const auto& p : ver->partitions) {
     if (busy_partitions_.count(p->id)) continue;
     std::vector<uint64_t> logs;
     uint64_t garbage = 0;
-    if (SelectGcLogs(*p, &logs, &garbage) && garbage > item.gc_garbage) {
+    if (SelectGcLogs(*p, &logs, &garbage) && garbage > best) {
+      best = garbage;
       item.kind = WorkKind::kGc;
       item.partition = p;
       item.gc_logs = std::move(logs);
-      item.gc_garbage = garbage;
+      item.gc_threads = compact_all_ > 0
+                            ? std::clamp(options_.background_threads, 1, 16)
+                            : 1;
     }
   }
   return item;
@@ -627,7 +635,7 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
 // needs no cleanup of its own (RemoveObsoleteFiles sweeps the partial
 // files). Tables rotate on physical size or on governed logical size, so a
 // partition large in *values* still yields several tables (split points).
-// The value log is created on the first AddValue.
+// The value log is created on the first value or record appended.
 class UniKVDB::JobOutputs {
  public:
   JobOutputs(UniKVDB* db, uint32_t pid)
@@ -650,15 +658,14 @@ class UniKVDB::JobOutputs {
   // Appends a value record to the job's log and fills *ptr.
   Status AddValue(const Slice& user_key, const Slice& value,
                   ValuePointer* ptr) {
-    if (vlog_ == nullptr) {
-      const uint64_t number = NewOutputNumber();
-      std::unique_ptr<WritableFile> file;
-      Status s = db_->env_->NewWritableFile(
-          ValueLogFileName(db_->dbname_, number), &file);
-      if (!s.ok()) return s;
-      vlog_ = std::make_unique<ValueLogWriter>(std::move(file), pid_, number);
-    }
-    return vlog_->Add(user_key, value, ptr);
+    Status s = OpenLog();
+    return s.ok() ? vlog_->Add(user_key, value, ptr) : s;
+  }
+
+  // Appends an encoded, checked record to the job's log and fills *ptr.
+  Status AddRecord(const Slice& record, ValuePointer* ptr) {
+    Status s = OpenLog();
+    return s.ok() ? vlog_->AddRecord(record, ptr) : s;
   }
 
   // Adds one SortedStore entry that governs `governed` logical bytes: the
@@ -719,6 +726,18 @@ class UniKVDB::JobOutputs {
     db_->pending_outputs_.insert(number);
     numbers_.push_back(number);
     return number;
+  }
+
+  Status OpenLog() {
+    if (vlog_ != nullptr) return Status::OK();
+    const uint64_t number = NewOutputNumber();
+    std::unique_ptr<WritableFile> file;
+    Status s = db_->env_->NewWritableFile(
+        ValueLogFileName(db_->dbname_, number), &file);
+    if (s.ok()) {
+      vlog_ = std::make_unique<ValueLogWriter>(std::move(file), pid_, number);
+    }
+    return s;
   }
 
   Status FinishTable() {
@@ -1102,102 +1121,156 @@ Status UniKVDB::GcPartition(const WorkItem& item) {
   const uint32_t pid = p->id;
   const std::set<uint64_t> selected(item.gc_logs.begin(), item.gc_logs.end());
 
-  // Scan the SortedStore (the authority on liveness). Values in the
-  // selected logs are fetched and appended to the job's log; every other
-  // entry — inline values and pointers into kept logs — is rewritten byte
-  // for byte.
-  std::vector<Iterator*> run;
-  uint64_t bytes_read = 0;
-  for (const FileMeta& f : p->sorted) {
-    run.push_back(table_cache_->NewIterator(f.number, f.size));
-    bytes_read += f.size;
-  }
-  std::unique_ptr<Iterator> iter(
-      NewConcatenatingIterator(icmp_, std::move(run)));
-  JobOutputs out(this, pid);
-
-  // Live values are fetched a batch at a time through the shared value
-  // fetcher (sorted, coalesced, key-checked), then rewritten in key order.
-  // A batch holds up to kBatchBytes of values: a key range spread over
-  // many logs yields only a few records per log, and a longer batch gives
-  // each log longer coalesced spans.
-  struct Entry {
-    std::string internal_key;
-    std::string value;  // As stored, or the fetched value when `fetch`.
-    ValuePointer ptr;
-    bool fetch = false;
-    uint64_t governed = 0;
+  // The SortedStore (the authority on liveness) is cut into item.gc_threads
+  // runs of whole tables, about equal in logical bytes (a table joins the
+  // run its logical midpoint falls in); the tables are disjoint and in key
+  // order, so each run is copied into outputs of its own, the first on
+  // this thread and the rest on helper threads. Values in the selected
+  // logs are fetched and appended to the run's log; every other entry
+  // (inline values and pointers into kept logs) is rewritten byte for
+  // byte.
+  struct Run {
+    std::vector<FileMeta> tables;
+    std::unique_ptr<JobOutputs> out;
+    // Record bytes copied out of each selected log.
+    std::unordered_map<uint64_t, uint64_t> copied;
+    uint64_t live_bytes_copied = 0;
     Status status;
   };
-  std::vector<Entry> batch;
-  std::vector<ValueFetch> fetches;
-  const size_t kBatchEntries = 4096;
-  const uint64_t kBatchBytes = 4 << 20;
-  uint64_t batch_bytes = 0;
-  // Record bytes copied out of each selected log.
-  std::unordered_map<uint64_t, uint64_t> copied;
-  uint64_t live_bytes_copied = 0;
+  const size_t num_runs = std::min<size_t>(
+      std::max(item.gc_threads, 1), std::max<size_t>(p->sorted.size(), 1));
+  std::vector<Run> runs(num_runs);
+  for (Run& run : runs) run.out = std::make_unique<JobOutputs>(this, pid);
+  uint64_t total_logical = 0;
+  uint64_t bytes_read = 0;
+  for (const FileMeta& f : p->sorted) {
+    total_logical += f.logical;
+    bytes_read += f.size;
+  }
+  uint64_t logical = 0;
+  for (const FileMeta& f : p->sorted) {
+    const uint64_t mid = logical + f.logical / 2;
+    const size_t r = total_logical == 0
+                         ? 0
+                         : std::min<size_t>(num_runs - 1,
+                                            mid * num_runs / total_logical);
+    runs[r].tables.push_back(f);
+    logical += f.logical;
+  }
 
-  auto flush_batch = [&]() -> Status {
-    fetches.clear();
-    for (Entry& e : batch) {
-      if (!e.fetch) continue;
-      fetches.push_back(ValueFetch{e.ptr, ExtractUserKey(e.internal_key),
-                                   &e.value, &e.status});
+  // Live records are fetched a batch at a time through the shared value
+  // fetcher (sorted, coalesced, checksum- and key-checked), then appended
+  // byte for byte in key order.
+  auto copy_run = [this, &selected](Run* run) {
+    std::vector<Iterator*> inputs;
+    for (const FileMeta& f : run->tables) {
+      inputs.push_back(table_cache_->NewIterator(f.number, f.size));
     }
-    if (!fetches.empty()) {
-      vlog_cache_->Fetch(&fetches, options_.multiget_coalesce_gap_bytes);
-    }
-    std::string encoded;
-    for (Entry& e : batch) {
-      if (!e.status.ok()) return e.status;
-      Slice value(e.value);
-      if (e.fetch) {
-        ValuePointer new_ptr;
-        Status rs =
-            out.AddValue(ExtractUserKey(e.internal_key), e.value, &new_ptr);
-        if (!rs.ok()) return rs;
-        encoded.clear();
-        new_ptr.EncodeTo(&encoded);
-        value = Slice(encoded);
-        copied[e.ptr.log_number] += e.ptr.size;
-        live_bytes_copied += e.ptr.size;
+    std::unique_ptr<Iterator> iter(
+        NewConcatenatingIterator(icmp_, std::move(inputs)));
+    struct Entry {
+      std::string internal_key;
+      std::string value;  // As stored, or the fetched record when `fetch`.
+      ValuePointer ptr;
+      bool fetch = false;
+      uint64_t governed = 0;
+      Status status;
+    };
+    std::vector<Entry> batch;
+    std::vector<ValueFetch> fetches;
+    const size_t kBatchSize = 256;
+
+    auto flush_batch = [&]() -> Status {
+      fetches.clear();
+      for (Entry& e : batch) {
+        if (!e.fetch) continue;
+        fetches.push_back(ValueFetch{e.ptr, ExtractUserKey(e.internal_key),
+                                     &e.value, &e.status,
+                                     /*whole_record=*/true});
       }
-      Status rs = out.AddEntry(e.internal_key, value, e.governed);
-      if (!rs.ok()) return rs;
+      if (!fetches.empty()) {
+        vlog_cache_->Fetch(&fetches, options_.multiget_coalesce_gap_bytes);
+      }
+      std::string encoded;
+      for (Entry& e : batch) {
+        if (!e.status.ok()) return e.status;
+        Slice value(e.value);
+        if (e.fetch) {
+          ValuePointer new_ptr;
+          Status rs = run->out->AddRecord(e.value, &new_ptr);
+          if (!rs.ok()) return rs;
+          encoded.clear();
+          new_ptr.EncodeTo(&encoded);
+          value = Slice(encoded);
+          run->copied[e.ptr.log_number] += e.ptr.size;
+          run->live_bytes_copied += e.ptr.size;
+        }
+        Status rs = run->out->AddEntry(e.internal_key, value, e.governed);
+        if (!rs.ok()) return rs;
+      }
+      batch.clear();
+      return Status::OK();
+    };
+
+    Status s;
+    for (iter->SeekToFirst(); s.ok() && iter->Valid(); iter->Next()) {
+      Entry e;
+      e.internal_key = iter->key().ToString();
+      e.value = iter->value().ToString();
+      e.governed = ExtractUserKey(iter->key()).size();
+      if (ExtractValueType(iter->key()) == kTypeValuePointer) {
+        Slice encoded = iter->value();
+        if (!e.ptr.DecodeFrom(&encoded)) {
+          s = Status::Corruption("bad value pointer during GC");
+          break;
+        }
+        e.governed += e.ptr.size;
+        e.fetch = selected.count(e.ptr.log_number) > 0;
+      } else {
+        e.governed += e.value.size();
+      }
+      batch.push_back(std::move(e));
+      if (batch.size() >= kBatchSize) s = flush_batch();
     }
-    batch.clear();
-    batch_bytes = 0;
-    return Status::OK();
+    if (s.ok()) s = iter->status();
+    if (s.ok()) s = flush_batch();
+    if (s.ok()) s = run->out->Finish();
+    run->status = s;
   };
 
-  Status s;
-  for (iter->SeekToFirst(); s.ok() && iter->Valid(); iter->Next()) {
-    Entry e;
-    e.internal_key = iter->key().ToString();
-    e.value = iter->value().ToString();
-    e.governed = ExtractUserKey(iter->key()).size();
-    if (ExtractValueType(iter->key()) == kTypeValuePointer) {
-      Slice encoded = iter->value();
-      if (!e.ptr.DecodeFrom(&encoded)) {
-        s = Status::Corruption("bad value pointer during GC");
-        break;
-      }
-      e.governed += e.ptr.size;
-      e.fetch = selected.count(e.ptr.log_number) > 0;
-      if (e.fetch) batch_bytes += e.ptr.size;
-    } else {
-      e.governed += e.value.size();
-    }
-    batch.push_back(std::move(e));
-    if (batch.size() >= kBatchEntries || batch_bytes >= kBatchBytes) {
-      s = flush_batch();
+  // A helper thread folds what it observed into the engine counters, as
+  // the worker does for its own thread. A run whose thread cannot be
+  // started is copied on this thread.
+  std::vector<std::thread> helpers;
+  for (size_t i = 1; i < runs.size(); i++) {
+    if (runs[i].tables.empty()) continue;
+    try {
+      helpers.emplace_back([this, &copy_run, run = &runs[i]] {
+        PerfContext* perf = GetPerfContext();
+        const PerfContext perf_before = *perf;
+        copy_run(run);
+        metrics_.FoldPerf(perf->DeltaSince(perf_before));
+      });
+    } catch (const std::system_error&) {
+      copy_run(&runs[i]);
     }
   }
-  if (s.ok()) s = iter->status();
-  if (s.ok()) s = flush_batch();
-  if (s.ok()) s = out.Finish();
-  if (!s.ok()) return s;
+  copy_run(&runs[0]);
+  for (std::thread& t : helpers) t.join();
+
+  uint64_t live_bytes_copied = 0;
+  uint64_t bytes_written = 0;
+  uint64_t vlog_bytes = 0;
+  size_t output_tables = 0;
+  std::unordered_map<uint64_t, uint64_t> copied;
+  for (const Run& run : runs) {
+    if (!run.status.ok()) return run.status;
+    live_bytes_copied += run.live_bytes_copied;
+    bytes_written += run.out->bytes_written();
+    vlog_bytes += run.out->vlog_bytes();
+    output_tables += run.out->num_tables();
+    for (const auto& [log, bytes] : run.copied) copied[log] += bytes;
+  }
   bytes_read += live_bytes_copied;
 
   // Install atomically: the old sorted tables and this partition's
@@ -1207,7 +1280,7 @@ Status UniKVDB::GcPartition(const WorkItem& item) {
   VersionEdit edit;
   for (const FileMeta& f : p->sorted) edit.RemoveSortedFile(pid, f.number);
   for (uint64_t number : selected) edit.RemoveValueLog(pid, number);
-  out.AddToEdit(&edit);
+  for (const Run& run : runs) run.out->AddToEdit(&edit);
 
   MutexLock lock(&mu_);
 
@@ -1248,7 +1321,7 @@ Status UniKVDB::GcPartition(const WorkItem& item) {
       (void)env_->RemoveFile(ValueLogFileName(dbname_, number));
     }
   }
-  s = versions_->LogAndApply(&edit);
+  Status s = versions_->LogAndApply(&edit);
   if (s.ok()) {
     // A selected log a sibling still references keeps its entry, grown by
     // the records copied out of it (dead now: no partition points there);
@@ -1267,9 +1340,9 @@ Status UniKVDB::GcPartition(const WorkItem& item) {
     }
     stats_.gcs++;
     stats_.gc_bytes_read += bytes_read;
-    stats_.gc_bytes_written += out.bytes_written();
+    stats_.gc_bytes_written += bytes_written;
     partition_stats_[pid].gcs++;
-    partition_stats_[pid].gc_bytes_written += out.bytes_written();
+    partition_stats_[pid].gc_bytes_written += bytes_written;
 
     const uint64_t dur = env_->NowMicros() - start_us;
     metrics_.gc_latency->Add(static_cast<double>(dur));
@@ -1277,13 +1350,14 @@ Status UniKVDB::GcPartition(const WorkItem& item) {
     ev.AddUint("partition", pid);
     ev.AddUint("duration_micros", dur);
     ev.AddUint("bytes_read", bytes_read);
-    ev.AddUint("bytes_written", out.bytes_written());
+    ev.AddUint("bytes_written", bytes_written);
     ev.AddUint("selected_vlogs", selected.size());
     ev.AddUint("kept_vlogs", p->vlogs.size() - selected.size());
     ev.AddUint("live_bytes_copied", live_bytes_copied);
     ev.AddUint("garbage_reclaimed", garbage_reclaimed);
-    ev.AddUint("output_tables", out.num_tables());
-    ev.AddUint("vlog_bytes", out.vlog_bytes());
+    ev.AddUint("output_tables", output_tables);
+    ev.AddUint("vlog_bytes", vlog_bytes);
+    ev.AddUint("threads", helpers.size() + 1);
     event_log_->Log("gc", &ev);
   }
   bg_cv_.SignalAll();

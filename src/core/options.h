@@ -113,9 +113,10 @@ struct Options {
   /// Background maintenance workers. Each worker picks one job at a time
   /// (memtable flush, merge, scan merge, GC, or split); jobs touching the
   /// same partition are mutually exclusive, jobs in different partitions
-  /// run in parallel, and at most one flush is in flight. 1 restores the
-  /// single-threaded scheduler (the crash harness pins this for
-  /// deterministic Env-call traces). Clamped to [1, 16] at Open.
+  /// run in parallel, and at most one flush is in flight. A GC that
+  /// CompactAll waits for also copies its key range on this many threads.
+  /// 1 restores the single-threaded scheduler (the crash harness pins
+  /// this for deterministic Env-call traces). Clamped to [1, 16] at Open.
   int background_threads = 3;
 
   /// Foreground write shards. Keys are striped across shards by user-key

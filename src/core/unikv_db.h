@@ -334,9 +334,10 @@ class UniKVDB : public DB {
     std::shared_ptr<const PartitionState> partition;
     /// For kFlush: index of the shard whose imm is to be flushed.
     int shard = -1;
-    /// For kGc: the value logs SelectGcLogs chose, and their dead bytes.
+    /// For kGc: the value logs SelectGcLogs chose, and how many threads
+    /// copy out of them.
     std::vector<uint64_t> gc_logs;
-    uint64_t gc_garbage = 0;
+    int gc_threads = 1;
   };
 
   void MaybeScheduleWork() REQUIRES(mu_);
@@ -400,7 +401,8 @@ class UniKVDB : public DB {
   /// Collects the value logs `item.gc_logs` of `item.partition`: copies
   /// the partition's live values out of them, rewrites its key+pointer
   /// tables (pointers into other logs unchanged), and drops only those
-  /// logs from the partition.
+  /// logs from the partition. The key range is split over
+  /// `item.gc_threads` threads.
   Status GcPartition(const WorkItem& item) EXCLUDES(mu_);
   Status SplitPartition(std::shared_ptr<const PartitionState> p)
       EXCLUDES(mu_);

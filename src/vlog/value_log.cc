@@ -36,14 +36,18 @@ Status ValueLogWriter::Add(const Slice& key, const Slice& value,
   uint32_t crc = crc32c::Value(scratch_.data() + 4, scratch_.size() - 4);
   EncodeFixed32(&scratch_[0], crc32c::Mask(crc));
 
-  Status s = file_->Append(Slice(scratch_));
+  return AddRecord(Slice(scratch_), ptr);
+}
+
+Status ValueLogWriter::AddRecord(const Slice& record, ValuePointer* ptr) {
+  Status s = file_->Append(record);
   if (!s.ok()) return s;
 
   ptr->partition = partition_;
   ptr->log_number = log_number_;
   ptr->offset = offset_;
-  ptr->size = static_cast<uint32_t>(scratch_.size());
-  offset_ += scratch_.size();
+  ptr->size = static_cast<uint32_t>(record.size());
+  offset_ += record.size();
   return Status::OK();
 }
 
@@ -191,7 +195,10 @@ void ValueLogCache::Fetch(std::vector<ValueFetch>* batch, uint64_t gap_bytes,
         if (rs.ok() && key != b[k].key) {
           rs = Status::Corruption("value log key mismatch");
         }
-        if (rs.ok()) b[k].value->assign(value.data(), value.size());
+        if (rs.ok()) {
+          const Slice& out = b[k].whole_record ? record : value;
+          b[k].value->assign(out.data(), out.size());
+        }
       }
       *b[k].status = rs;
     }

@@ -50,6 +50,10 @@ class ValueLogWriter {
   /// Appends a record; on success fills *ptr with its location.
   Status Add(const Slice& key, const Slice& value, ValuePointer* ptr);
 
+  /// Appends `record`, already in the format above (say, one a Fetch
+  /// checked), byte for byte; on success fills *ptr with its location.
+  Status AddRecord(const Slice& record, ValuePointer* ptr);
+
   Status Flush() { return file_->Flush(); }
   Status Sync() { return file_->Sync(); }
   Status Close() { return file_->Close(); }
@@ -70,13 +74,14 @@ class ValueLogWriter {
 Status DecodeValueRecord(const Slice& record, Slice* key, Slice* value);
 
 /// One request to ValueLogCache::Fetch: resolve `ptr`, check that the
-/// record was stored under `key`, and write the value and outcome into the
-/// caller's slots.
+/// record was stored under `key`, and write the value (or, with
+/// `whole_record`, the checked record) and outcome into the caller's slots.
 struct ValueFetch {
   ValuePointer ptr;
   Slice key;
   std::string* value;
   Status* status;
+  bool whole_record = false;
 };
 
 /// Caches open read handles for value log files and serves point and

@@ -329,6 +329,7 @@ TEST_F(DbGcTest, GcCopiesOnlyTheHalfDeadLog) {
   EXPECT_EQ(150 * RecordBytes(1024),
             SumJsonField(gcs[0], "garbage_reclaimed"))
       << gcs[0];
+  EXPECT_EQ(1u, SumJsonField(gcs[0], "threads")) << gcs[0];
 }
 
 // A split leaves both halves referencing the old logs; none of those
@@ -387,6 +388,45 @@ TEST_F(DbGcTest, CompactAllReclaimsEveryDeadByteInSharedLogs) {
     std::string value;
     ASSERT_TRUE(db_->Get(ReadOptions(), test::TestKey(i), &value).ok()) << i;
     EXPECT_EQ(test::TestValue(i % 50 == 0 ? i + 9999 : i, 512), value);
+  }
+}
+
+// A GC that CompactAll waits for copies its key range on
+// background_threads threads, each into a log of its own; the values and
+// the space come out as with one thread.
+TEST_F(DbGcTest, CompactAllGcSplitsKeyRangeOverThreads) {
+  for (int threads : {1, 3}) {
+    Options opt = GcOptions();
+    opt.background_threads = threads;
+    Open(opt, "gc_threads" + std::to_string(threads));
+    const int kKeys = 6000;  // Four sorted tables, one partition.
+    for (int i = 0; i < kKeys; i++) {
+      ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i),
+                           test::TestValue(i, 512))
+                      .ok());
+    }
+    ASSERT_TRUE(db_->CompactAll().ok());
+    for (int i = 0; i < kKeys; i += 4) {
+      ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i),
+                           test::TestValue(i + 9999, 512))
+                      .ok());
+    }
+    ASSERT_TRUE(db_->CompactAll().ok());
+
+    EXPECT_EQ(kKeys * RecordBytes(512),
+              DirBytes(dir_, FileType::kValueLogFile));
+    for (int i = 0; i < kKeys; i++) {
+      std::string value;
+      ASSERT_TRUE(db_->Get(ReadOptions(), test::TestKey(i), &value).ok())
+          << i;
+      EXPECT_EQ(test::TestValue(i % 4 == 0 ? i + 9999 : i, 512), value);
+    }
+    db_.reset();
+    const std::vector<std::string> gcs = GcEvents(dir_);
+    ASSERT_FALSE(gcs.empty());
+    EXPECT_EQ(static_cast<uint64_t>(threads),
+              SumJsonField(gcs.back(), "threads"))
+        << gcs.back();
   }
 }
 

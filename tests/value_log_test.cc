@@ -178,6 +178,45 @@ TEST_F(ValueLogTest, FetchKeyMismatchFailsOnlyItsSlot) {
   }
 }
 
+// A whole-record fetch hands back the checked record, which AddRecord
+// appends to another log unchanged; a bad record still fails its slot.
+TEST_F(ValueLogTest, WholeRecordFetchCopiesVerbatim) {
+  auto writer = NewWriter(11);
+  std::vector<ValuePointer> ptrs(3);
+  for (int i = 0; i < 3; i++) {
+    ASSERT_TRUE(writer
+                    ->Add("k" + std::to_string(i),
+                          std::string(200 + i, 'a' + i), &ptrs[i])
+                    .ok());
+  }
+  ASSERT_TRUE(writer->Flush().ok());
+  const std::vector<std::string> keys = {"k0", "x", "k2"};
+  std::vector<std::string> records(3);
+  std::vector<Status> statuses(3);
+  std::vector<ValueFetch> batch;
+  for (int i = 0; i < 3; i++) {
+    batch.push_back(ValueFetch{ptrs[i], keys[i], &records[i], &statuses[i],
+                               /*whole_record=*/true});
+  }
+  cache_->Fetch(&batch, 4096);
+  EXPECT_TRUE(statuses[1].IsCorruption()) << statuses[1].ToString();
+
+  auto copy = NewWriter(12);
+  for (int i : {2, 0}) {
+    ASSERT_TRUE(statuses[i].ok()) << statuses[i].ToString();
+    ASSERT_EQ(ptrs[i].size, records[i].size());
+    ValuePointer moved;
+    ASSERT_TRUE(copy->AddRecord(records[i], &moved).ok());
+    EXPECT_EQ(12u, moved.log_number);
+    EXPECT_EQ(ptrs[i].size, moved.size);
+    ASSERT_TRUE(copy->Flush().ok());
+    std::string value, key;
+    ASSERT_TRUE(cache_->Get(moved, &value, &key).ok());
+    EXPECT_EQ("k" + std::to_string(i), key);
+    EXPECT_EQ(std::string(200 + i, 'a' + i), value);
+  }
+}
+
 TEST_F(ValueLogTest, FetchDuplicateOverlappingAndMultiLogPointers) {
   Counter reads, span_reads, read_bytes;
   cache_->SetCounters(&reads, &span_reads, &read_bytes);
